@@ -21,13 +21,14 @@ Shared NNFs (paper §2): the adaptation layer assigned each
 (graph, logical-port) a VLAN id; steering pushes that id right before
 the trunk port and matches+pops it on traffic coming back.
 
-Every action list this module emits is one of the fused shapes that
-:func:`repro.switch.actions.compile_actions` specializes (``Output``,
-``PushVlan+Output``, ``PopVlan+Output``, ``PopVlan+PushVlan+Output``,
-and for replica groups ``SelectOutput`` / ``PopVlan+SelectOutput``),
-so installed rules execute as straight-line closures with at most one
-frame copy per hop — the per-hop switching cost the paper's model
-charges stays flat no matter how many segments a rule spans.
+Every action list this module emits is transforms followed by one
+sink (``Output``, ``PushVlan+Output``, ``PopVlan+Output``,
+``PopVlan+PushVlan+Output``, and for replica groups ``SelectOutput`` /
+``PopVlan+SelectOutput``), which
+:func:`repro.switch.actions.compile_actions` lowers to a single
+composed rewrite — at most one frame copy per hop — and chain fusion
+can compose across hops, so the per-hop switching cost the paper's
+model charges stays flat no matter how many segments a rule spans.
 
 Replicated NFs (``replicas=N`` in the graph, expanded by
 :mod:`repro.nffg.replicas`): a rule whose destination is the replica

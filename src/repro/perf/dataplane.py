@@ -1,30 +1,28 @@
-"""Dataplane pps microbenchmarks: lookup, compiled actions, batched chains.
+"""Dataplane pps microbenchmarks: lookup, batched chains, behavioral probes.
 
-Three sweeps:
+Two timing sweeps:
 
 * **Lookup** — installs steering-shaped tables (exact ``(in_port,
   vlan)`` entries plus a sprinkle of CIDR wildcards) at several sizes
   and times :meth:`FlowTable.lookup` (small-table bypass below 17
-  entries, two-level index above) against the pre-PR reference linear
-  scan (:meth:`FlowTable.lookup_linear`, which still re-parses CIDR
-  strings per packet — exactly the old cost model).
-
-* **Actions** — times the fused closures from
-  :func:`repro.switch.actions.compile_actions` against the interpreted
-  reference loop (:meth:`Datapath.execute_interpreted`) for each hot
-  steering shape.
+  entries, two-level index above) against the reference linear scan
+  (:meth:`FlowTable.lookup_linear`, which still re-parses CIDR
+  strings per packet).
 
 * **Chain** — wires N datapaths in a row with virtual links (the
-  Figure-1 LSI chain) and times four cost models: per-frame
-  :meth:`Datapath.process` with *interpreted* actions (the pre-PR
-  cost model), :meth:`Datapath.process_batch_from` with compiled
-  actions and zero-reparse ``ParsedFrame`` carry but fusion disabled
-  (the per-hop batch path), chain fusion on but per-port dispatch off
-  (one straight-line program per batch group, a single indexed lookup
-  at chain ingress), and the production configuration — fusion *and*
-  the per-port dispatch tables (:class:`FusionEngine.dispatch`), where
+  Figure-1 LSI chain) and times the three traversal modes the
+  differential suite pins against each other: per-frame
+  :meth:`Datapath.process` (the reference), per-hop
+  :meth:`Datapath.process_batch_from` with ``fusion.enabled = False``
+  (the fusion fallback path), and production — chain fusion plus the
+  per-port dispatch tables (:class:`FusionEngine.dispatch`), where
   steady-state frames jump from ingress straight to their fused
   program without walking the flow table at all.
+
+Both sweeps gate *floors and engagement only* — no batched leg may
+fall below the per-frame path, fusion and dispatch must actually
+carry frames on every multi-hop point, indexed lookup must beat the
+linear scan.  Absolute throughput is ``benchmarks/nfbench``'s job.
 
 :func:`check_lb_fusion` is a behavioral probe, not a timing: a
 chain-2 graph whose terminal is a stateful ``SelectOutput`` spread
@@ -34,14 +32,13 @@ asserting that the LB hop *fuses per replica*
 contract — zero broken connections, full adoption, preserved pins —
 stays intact.
 
-``run_dataplane_bench`` bundles the sweeps into a JSON-serializable
-dict; benches write it to ``BENCH_dataplane.json`` so later PRs can
-track the pps trajectory.  :func:`check_results` asserts the standing
-acceptance thresholds on such a dict.  ``quick=True`` shrinks the
-sweep to a single table size and chain length with fewer packets and
-repeats — the tier-1 smoke configuration, which asserts only the
-no-regression gates (point floors, purity counters) and skips the
-absolute speedup targets that need the full best-of-3 sweep.
+``run_dataplane_bench`` bundles the sweeps and probes into a
+JSON-serializable dict; benches write it to ``BENCH_dataplane.json``.
+:func:`check_results` asserts the standing acceptance thresholds on
+such a dict.  ``quick=True`` shrinks the sweep to a single table size
+and chain length with fewer packets and repeats — the tier-1 smoke
+configuration, which skips only the absolute 1k-entry lookup target
+that needs the full best-of-3 sweep.
 """
 
 from __future__ import annotations
@@ -59,23 +56,15 @@ from repro.switch import (
     FlowMatch,
     FlowTable,
     Output,
-    PopVlan,
-    PushVlan,
-    SetField,
     VirtualLink,
 )
 from repro.switch.flowtable import SMALL_TABLE_THRESHOLD
 
 __all__ = [
-    "ActionPoint",
     "ChainPoint",
-    "CHAIN_BATCH_TARGET",
-    "DISPATCH_CHAIN_TARGET_AT_4",
-    "FUSED_CHAIN_TARGET_AT_4",
     "LookupPoint",
     "SMALL_TABLE_FLOOR",
     "SPEEDUP_TARGET_AT_1K",
-    "CHAIN_BATCH_TARGET_AT_4",
     "TRACING_OVERHEAD_FLOOR",
     "build_steering_table",
     "check_fused_invalidation",
@@ -85,7 +74,6 @@ __all__ = [
     "count_chain_excess_parse_frame",
     "count_fast_path_parse_cidr",
     "run_dataplane_bench",
-    "sweep_actions",
     "sweep_chain",
     "sweep_lookup",
     "write_bench_json",
@@ -93,26 +81,9 @@ __all__ = [
 
 #: Acceptance floor: indexed vs linear speedup at the 1k-entry point.
 SPEEDUP_TARGET_AT_1K = 10.0
-#: Acceptance floor: batched+compiled chain traversal vs per-frame
-#: interpreted execution at the longest measured chain.
-CHAIN_BATCH_TARGET = 1.3
-#: Acceptance floor at chain length 4 specifically: with zero-reparse
-#: ``ParsedFrame`` carry and single-port batch ingress the deep-chain
-#: point must clear this (the pre-carry pipeline sat at ~1.45-1.6x).
-CHAIN_BATCH_TARGET_AT_4 = 1.8
-#: Regression floor for *every* chain length: batching must never be
-#: meaningfully slower than the per-frame path.
+#: Regression floor for *every* chain length and both batched legs:
+#: batching must never be meaningfully slower than the per-frame path.
 CHAIN_POINT_FLOOR = 0.9
-#: Acceptance target at chain length 4 for the *fused* leg: whole-chain
-#: straight-line programs vs per-frame interpretation.  The per-hop
-#: batch path sits at ~3.25x; fusion must roughly double it.
-FUSED_CHAIN_TARGET_AT_4 = 6.0
-#: Acceptance target at chain length 4 for the *dispatch-fused* leg —
-#: the production configuration: per-port dispatch tables skip the
-#: ingress table walk entirely, and byte-splice terminals replace the
-#: per-frame ``derive()`` rewrite.  Fusion alone sits at ~7x; dispatch
-#: must push past this.
-DISPATCH_CHAIN_TARGET_AT_4 = 9.0
 #: Acceptance floor: small tables (<= bypass threshold) must not lose
 #: to the bare reference linear scan.
 SMALL_TABLE_FLOOR = 1.0
@@ -161,20 +132,18 @@ class LookupPoint:
 class ChainPoint:
     """One chain-length point of the pipeline sweep.
 
-    ``single_pps`` is per-frame :meth:`Datapath.process` with
-    interpreted actions (the pre-compilation cost model);
-    ``batched_pps`` is :meth:`Datapath.process_batch_from` with
-    compiled actions and per-batch counters but fusion disabled (the
-    per-hop batch path); ``fused_pps`` re-enables chain fusion with
-    the per-port dispatch layer off (one indexed lookup per frame at
-    chain ingress); ``dispatch_pps`` is the production configuration —
-    fusion plus dispatch tables, no ingress table walk at all.
-    ``fused_hits`` counts frames the ingress engine actually delivered
-    through fused programs during the fused leg (0 at chain length 1,
-    where single-hop "chains" stay on the already-optimal per-hop path
-    by design); ``dispatch_hits`` counts frames that skipped the
-    ingress walk through a dispatch slot during the dispatch leg.
-    ``wall_s`` / ``repeats`` as on :class:`LookupPoint`.
+    ``single_pps`` is per-frame :meth:`Datapath.process` (the
+    reference path); ``batched_pps`` is
+    :meth:`Datapath.process_batch_from` with fusion pinned off (the
+    per-hop batch path); ``fused_pps`` is the production
+    configuration — chain fusion plus dispatch tables, no ingress
+    table walk at all.  ``fused_hits`` counts frames the ingress
+    engine actually delivered through fused programs during the
+    production leg (0 at chain length 1, where single-hop "chains"
+    stay on the already-optimal per-hop path by design);
+    ``dispatch_hits`` counts frames that skipped the ingress walk
+    through a dispatch slot.  ``wall_s`` / ``repeats`` as on
+    :class:`LookupPoint`.
     """
 
     chain_length: int
@@ -185,22 +154,7 @@ class ChainPoint:
     fused_pps: float = 0.0
     fused_speedup: float = 0.0
     fused_hits: int = 0
-    dispatch_pps: float = 0.0
-    dispatch_speedup: float = 0.0
     dispatch_hits: int = 0
-    wall_s: dict = field(default_factory=dict)
-    repeats: int = 0
-
-
-@dataclass
-class ActionPoint:
-    """One action-shape point: compiled closure vs interpreted loop."""
-
-    shape: str
-    packets: int
-    interpreted_pps: float
-    compiled_pps: float
-    speedup: float
     wall_s: dict = field(default_factory=dict)
     repeats: int = 0
 
@@ -301,72 +255,6 @@ def sweep_lookup(sizes=(10, 100, 1000, 5000), packets: int = 2000,
     return points
 
 
-#: The steering layer's action shapes (see ``_install_rule``), timed by
-#: :func:`sweep_actions`.  The third element marks shapes that need
-#: VLAN-tagged input frames.
-_ACTION_SHAPES: tuple[tuple[str, tuple, bool], ...] = (
-    ("output", (Output(2),), False),
-    ("push+output", (PushVlan(42), Output(2)), False),
-    ("pop+output", (PopVlan(), Output(2)), True),
-    ("pop+push+output", (PopVlan(), PushVlan(43), Output(2)), True),
-    ("setfield+push+output",
-     (SetField("eth_dst", "02:00:00:00:00:99"), PushVlan(44), Output(2)),
-     False),
-)
-
-
-def sweep_actions(packets: int = 2000, seed: int = 13,
-                  repeats: int = 3) -> list[ActionPoint]:
-    """Time compiled action closures against the interpreted loop.
-
-    Both paths run the same entry over the same frames with a no-op
-    emit, so the measurement isolates the action machinery itself
-    (dispatch + frame rewrites) from lookup and egress.
-    """
-    rng = random.Random(seed)
-
-    def no_emit(out_port: int, in_port: int, frame) -> None:
-        pass
-
-    points = []
-    for shape, actions, tagged in _ACTION_SHAPES:
-        dp = Datapath(0x8000, name="actbench")
-        entry = FlowEntry(match=FlowMatch(), actions=actions)
-        frames = [make_udp_frame(
-            _MAC_A, _MAC_B, "10.0.0.1", "10.0.0.2",
-            4000 + rng.randrange(1000), 5001, b"x",
-            vlan=7 if tagged else None) for _ in range(packets)]
-        compiled = entry.compiled
-        for frame in frames[:16]:  # warm both paths
-            dp.execute_interpreted(entry.actions, 1, frame, no_emit)
-            compiled(dp, 1, frame, no_emit)
-
-        def run_interpreted():
-            acts = entry.actions
-            for frame in frames:
-                dp.execute_interpreted(acts, 1, frame, no_emit)
-
-        def run_compiled():
-            for frame in frames:
-                compiled(dp, 1, frame, no_emit)
-
-        interpreted_elapsed, interpreted_wall = _best_elapsed(
-            run_interpreted, repeats)
-        compiled_elapsed, compiled_wall = _best_elapsed(
-            run_compiled, repeats)
-
-        interpreted_pps = packets / interpreted_elapsed
-        compiled_pps = packets / compiled_elapsed
-        points.append(ActionPoint(
-            shape=shape, packets=packets, interpreted_pps=interpreted_pps,
-            compiled_pps=compiled_pps,
-            speedup=compiled_pps / interpreted_pps,
-            wall_s={"interpreted": interpreted_wall,
-                    "compiled": compiled_wall},
-            repeats=repeats))
-    return points
-
-
 def _build_chain(length: int) -> list[Datapath]:
     """``length`` datapaths in a row joined by virtual links.
 
@@ -392,15 +280,11 @@ def _build_chain(length: int) -> list[Datapath]:
 
 def sweep_chain(lengths=(1, 2, 4), packets: int = 1000,
                 seed: int = 11, repeats: int = 3) -> list[ChainPoint]:
-    """Time the four chain cost models at each length.
+    """Time the three chain traversal modes at each length.
 
-    Four legs per length, same frames, same wiring: per-frame
-    interpreted :meth:`Datapath.process` (the pre-compilation cost
-    model), per-hop batched with compiled actions but fusion *off*
-    (the pre-fusion cost model, and the fusion fallback path), batched
-    with chain fusion on but the per-port dispatch layer off (the
-    whole chain runs as one straight-line program per batch group,
-    reached through one indexed lookup per frame), and the production
+    Three legs per length, same frames, same wiring: per-frame
+    :meth:`Datapath.process` (the reference), per-hop batched with
+    fusion *off* (the fusion fallback path), and the production
     configuration — fusion plus dispatch tables, where steady-state
     frames skip the ingress table walk entirely.
     """
@@ -424,43 +308,29 @@ def sweep_chain(lengths=(1, 2, 4), packets: int = 1000,
         def run_batched():
             first.process_batch_from(1, frames)
 
-        for hop in hops:
-            hop.compiled_actions = False
         single_elapsed, single_wall = _best_elapsed(run_single, repeats)
 
         for hop in hops:
-            hop.compiled_actions = True
             hop.fusion.enabled = False
         batched_elapsed, batched_wall = _best_elapsed(run_batched, repeats)
 
         for hop in hops:
             hop.fusion.enabled = True
-            hop.fusion.dispatch_enabled = False
         fused_elapsed, fused_wall = _best_elapsed(run_batched, repeats)
-        fused_hits = first.fusion.hits
 
-        for hop in hops:
-            hop.fusion.dispatch_enabled = True
-        dispatch_elapsed, dispatch_wall = _best_elapsed(
-            run_batched, repeats)
-        dispatch_hits = first.fusion.dispatch_hits
-
-        assert sink.tx_packets == len(warmup) + 4 * repeats * packets, \
+        assert sink.tx_packets == len(warmup) + 3 * repeats * packets, \
             f"chain {length}: sink saw {sink.tx_packets} frames"
         single_pps = packets / single_elapsed
         batched_pps = packets / batched_elapsed
         fused_pps = packets / fused_elapsed
-        dispatch_pps = packets / dispatch_elapsed
         points.append(ChainPoint(
             chain_length=length, packets=packets, single_pps=single_pps,
             batched_pps=batched_pps, speedup=batched_pps / single_pps,
             fused_pps=fused_pps, fused_speedup=fused_pps / single_pps,
-            fused_hits=fused_hits,
-            dispatch_pps=dispatch_pps,
-            dispatch_speedup=dispatch_pps / single_pps,
-            dispatch_hits=dispatch_hits,
+            fused_hits=first.fusion.hits,
+            dispatch_hits=first.fusion.dispatch_hits,
             wall_s={"single": single_wall, "batched": batched_wall,
-                    "fused": fused_wall, "dispatch": dispatch_wall},
+                    "fused": fused_wall},
             repeats=repeats))
     return points
 
@@ -854,11 +724,10 @@ def run_dataplane_bench(sizes=None,
                         chain_lengths=None,
                         lookup_packets: "int | None" = None,
                         chain_packets: "int | None" = None,
-                        action_packets: "int | None" = None,
                         seed: int = 7,
                         repeats: "int | None" = None,
                         quick: bool = False) -> dict:
-    """All three sweeps plus the purity checks, JSON-ready.
+    """Both sweeps plus the probes and purity checks, JSON-ready.
 
     ``quick`` selects the *defaults* for any parameter the caller left
     unset: the full sweep shape (sizes 10/100/1k/5k, chains 1/2/4,
@@ -869,9 +738,9 @@ def run_dataplane_bench(sizes=None,
     parameters always win over either preset.
     """
     if quick:
-        preset = ((100,), (2,), 400, 300, 400, 2)
+        preset = ((100,), (2,), 400, 300, 2)
     else:
-        preset = ((10, 100, 1000, 5000), (1, 2, 4), 2000, 1000, 2000, 3)
+        preset = ((10, 100, 1000, 5000), (1, 2, 4), 2000, 1000, 3)
     if sizes is None:
         sizes = preset[0]
     if chain_lengths is None:
@@ -880,14 +749,10 @@ def run_dataplane_bench(sizes=None,
         lookup_packets = preset[2]
     if chain_packets is None:
         chain_packets = preset[3]
-    if action_packets is None:
-        action_packets = preset[4]
     if repeats is None:
-        repeats = preset[5]
+        repeats = preset[4]
     lookup = sweep_lookup(sizes, packets=lookup_packets, seed=seed,
                           repeats=repeats)
-    actions = sweep_actions(packets=action_packets, seed=seed + 2,
-                            repeats=repeats)
     chain = sweep_chain(chain_lengths, packets=chain_packets, seed=seed + 4,
                         repeats=repeats)
     # The elastic-scaling smoke leg runs in *virtual* time (sim-engine
@@ -923,7 +788,6 @@ def run_dataplane_bench(sizes=None,
             packets=1500, repeats=5, seed=seed + 14)
     return {
         "lookup": [asdict(point) for point in lookup],
-        "actions": [asdict(point) for point in actions],
         "chain": [asdict(point) for point in chain],
         "autoscale": autoscale,
         "churn": churn,
@@ -936,7 +800,6 @@ def run_dataplane_bench(sizes=None,
         "meta": {
             "lookup_packets": lookup_packets,
             "chain_packets": chain_packets,
-            "action_packets": action_packets,
             "small_table_threshold": SMALL_TABLE_THRESHOLD,
             "seed": seed,
             "repeats": repeats,
@@ -951,10 +814,10 @@ def check_results(results: dict) -> None:
 
     Single source of truth for the thresholds: the bench file, its
     script entry point and the pytest sweep all call this.  A dict
-    produced with ``quick=True`` (``meta.quick``) is held only to the
-    no-regression gates — point floors and the two purity counters —
-    because the absolute speedup targets need the full best-of-3 sweep
-    to be stable.
+    produced with ``quick=True`` (``meta.quick``) skips only the
+    absolute 1k-entry lookup target, which needs the full best-of-3
+    sweep to be stable; every floor, engagement gate, purity counter
+    and behavioral probe applies in both modes.
     """
     quick = bool(results.get("meta", {}).get("quick"))
     if not quick:
@@ -976,71 +839,24 @@ def check_results(results: dict) -> None:
             assert point["speedup"] >= QUICK_LOOKUP_FLOOR, (
                 f"indexed lookup regressed below the linear scan at "
                 f"{point['table_size']} entries: {point['speedup']:.2f}x")
-    chain = results["chain"]
-    if chain:
-        if not quick:
-            longest = max(chain, key=lambda p: p["chain_length"])
-            assert longest["speedup"] >= CHAIN_BATCH_TARGET, (
-                f"batched+compiled chain only {longest['speedup']:.2f}x "
-                f"over per-frame interpretation at length "
-                f"{longest['chain_length']} (target {CHAIN_BATCH_TARGET}x)")
-            at_four = next(
-                (p for p in chain if p["chain_length"] == 4), None)
-            if at_four is not None:
-                assert at_four["speedup"] >= CHAIN_BATCH_TARGET_AT_4, (
-                    f"zero-reparse chain only {at_four['speedup']:.2f}x "
-                    f"over per-frame interpretation at length 4 "
-                    f"(target {CHAIN_BATCH_TARGET_AT_4}x)")
-                fused_at_four = at_four.get("fused_speedup")
-                if fused_at_four:
-                    assert fused_at_four >= FUSED_CHAIN_TARGET_AT_4, (
-                        f"fused chain only {fused_at_four:.2f}x over "
-                        f"per-frame interpretation at length 4 "
-                        f"(target {FUSED_CHAIN_TARGET_AT_4}x)")
-                dispatch_at_four = at_four.get("dispatch_speedup")
-                if dispatch_at_four:
-                    assert dispatch_at_four >= DISPATCH_CHAIN_TARGET_AT_4, (
-                        f"dispatch-fused chain only "
-                        f"{dispatch_at_four:.2f}x over per-frame "
-                        f"interpretation at length 4 "
-                        f"(target {DISPATCH_CHAIN_TARGET_AT_4}x)")
-        for point in chain:
-            assert point["speedup"] >= CHAIN_POINT_FLOOR, (
-                f"batched chain regressed at length "
-                f"{point['chain_length']}: {point['speedup']:.2f}x")
-            fused_speedup = point.get("fused_speedup")
-            if fused_speedup:
-                # Fusion-active smoke (quick and full mode): a fused
-                # leg that measured anything must have actually fused
-                # at every multi-hop length, and must never regress
-                # below the per-frame path.
-                assert fused_speedup >= CHAIN_POINT_FLOOR, (
-                    f"fused chain regressed at length "
-                    f"{point['chain_length']}: {fused_speedup:.2f}x")
-                if point["chain_length"] >= 2:
-                    assert point.get("fused_hits", 0) > 0, (
-                        f"fusion never engaged at chain length "
-                        f"{point['chain_length']} (0 fused hits)")
-            dispatch_speedup = point.get("dispatch_speedup")
-            if dispatch_speedup:
-                # Dispatch smoke (quick and full mode): the production
-                # leg must never regress below the per-frame path, and
-                # on every multi-hop point the per-port dispatch table
-                # must actually carry frames past the ingress walk.
-                assert dispatch_speedup >= CHAIN_POINT_FLOOR, (
-                    f"dispatch-fused chain regressed at length "
-                    f"{point['chain_length']}: {dispatch_speedup:.2f}x")
-                if point["chain_length"] >= 2:
-                    assert point.get("dispatch_hits", 0) > 0, (
-                        f"per-port dispatch never engaged at chain "
-                        f"length {point['chain_length']} "
-                        f"(0 dispatch hits)")
-    action_speedups = [p["speedup"] for p in results.get("actions", [])]
-    if action_speedups:
-        mean = sum(action_speedups) / len(action_speedups)
-        assert mean >= 1.0, (
-            f"compiled actions slower than interpretation on average "
-            f"({mean:.2f}x across shapes)")
+    for point in results["chain"]:
+        assert point["speedup"] >= CHAIN_POINT_FLOOR, (
+            f"batched chain regressed at length "
+            f"{point['chain_length']}: {point['speedup']:.2f}x")
+        # The production leg must never regress below the per-frame
+        # path, and on every multi-hop point fusion must actually have
+        # delivered frames and the per-port dispatch table carried
+        # them past the ingress walk.
+        assert point["fused_speedup"] >= CHAIN_POINT_FLOOR, (
+            f"fused chain regressed at length "
+            f"{point['chain_length']}: {point['fused_speedup']:.2f}x")
+        if point["chain_length"] >= 2:
+            assert point["fused_hits"] > 0, (
+                f"fusion never engaged at chain length "
+                f"{point['chain_length']} (0 fused hits)")
+            assert point["dispatch_hits"] > 0, (
+                f"per-port dispatch never engaged at chain "
+                f"length {point['chain_length']} (0 dispatch hits)")
     autoscale = results.get("autoscale")
     if autoscale is not None:
         # Virtual-clock figures: deterministic, so the gates are exact.
@@ -1185,32 +1001,16 @@ def format_results(results: dict) -> str:
         lines.append(f"{point['table_size']:>6} {point['linear_pps']:>12.0f} "
                      f"{point['indexed_pps']:>13.0f} "
                      f"{point['speedup']:>8.1f}x")
-    if results.get("actions"):
-        lines.append("")
-        lines.append(f"{'shape':>22} {'interp pps':>12} "
-                     f"{'compiled pps':>13} {'speedup':>9}")
-        for point in results["actions"]:
-            lines.append(f"{point['shape']:>22} "
-                         f"{point['interpreted_pps']:>12.0f} "
-                         f"{point['compiled_pps']:>13.0f} "
-                         f"{point['speedup']:>8.2f}x")
     lines.append("")
     lines.append(f"{'chain':>6} {'single pps':>12} {'batched pps':>13} "
-                 f"{'speedup':>9} {'fused pps':>12} {'fused':>8} "
-                 f"{'dispatch pps':>13} {'dispatch':>9}")
+                 f"{'speedup':>9} {'fused pps':>12} {'fused':>8}")
     for point in results["chain"]:
-        fused_pps = point.get("fused_pps", 0.0)
-        fused_speedup = point.get("fused_speedup", 0.0)
-        dispatch_pps = point.get("dispatch_pps", 0.0)
-        dispatch_speedup = point.get("dispatch_speedup", 0.0)
         lines.append(f"{point['chain_length']:>6} "
                      f"{point['single_pps']:>12.0f} "
                      f"{point['batched_pps']:>13.0f} "
                      f"{point['speedup']:>8.2f}x "
-                     f"{fused_pps:>12.0f} "
-                     f"{fused_speedup:>7.2f}x "
-                     f"{dispatch_pps:>13.0f} "
-                     f"{dispatch_speedup:>8.2f}x")
+                     f"{point['fused_pps']:>12.0f} "
+                     f"{point['fused_speedup']:>7.2f}x")
     autoscale = results.get("autoscale")
     if autoscale:
         lines.append("")

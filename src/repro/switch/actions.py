@@ -3,21 +3,21 @@
 Actions are applied in sequence to a frame; an action list with no
 Output action drops the packet (OpenFlow semantics).
 
-Two execution forms exist:
+One reference, one production form:
 
-* **Interpreted** — :meth:`~repro.switch.datapath.Datapath.execute_interpreted`
-  walks the action list per frame, dispatching on each action's type.
-  This is the reference semantics and the baseline the perf sweep
-  measures against.
-* **Compiled** — :func:`compile_actions` specializes an action list
-  *once* into a single fused closure.  The hot steering shapes
-  (``Output``, ``PushVlan+Output``, ``PopVlan+Output``,
-  ``PopVlan+PushVlan+Output``) collapse to straight-line code with at
-  most one frame copy; anything else falls back to a pre-dispatched
-  opcode loop that never touches ``isinstance`` per frame.
+* **Reference** — :meth:`~repro.switch.datapath.Datapath.execute_interpreted`
+  walks the action list per frame, dispatching on each action's type:
+  the property suite's oracle, and the executor of one-shot OpenFlow
+  packet-out lists.
+* **Production** — :func:`compile_actions` lowers the list *once*
+  (:func:`lower_actions`) into ``(composed L2 rewrite, sinks)``
+  segments: each run of VLAN/MAC transforms between two emission
+  points becomes one field splice (:func:`compile_splice`), and the
+  point where a pop / set-vid would hit an untagged frame is resolved
+  symbolically, so the per-frame program never inspects an action.
   :class:`~repro.switch.flowtable.FlowEntry` compiles its list at
-  construction and caches the closure, so the datapath executes one
-  call per frame.
+  construction; chain fusion (:mod:`repro.switch.fusion`) composes the
+  same lowering hop by hop into whole-chain programs.
 
 A compiled program is bound to the exact action tuple it was built
 from; see :meth:`FlowEntry.invalidate` for the (rare) rebinding case.
@@ -34,9 +34,9 @@ from repro.net.ethernet import EthernetFrame
 
 __all__ = ["Action", "ActionError", "CompiledActions", "Controller",
            "EmitFn", "FLOOD_PORT", "Output", "PopVlan", "PushVlan",
-           "SelectOutput", "SetField", "compile_actions", "flow_hash",
-           "flow_key", "hoisted_select", "rendezvous_select",
-           "resolve_select"]
+           "SelectOutput", "SetField", "compile_actions", "compile_select",
+           "compile_splice", "flow_hash", "flow_key", "lower_actions",
+           "rendezvous_select", "resolve_select", "splice_fields_valid"]
 
 #: Pseudo port number: send to every port except ingress.
 FLOOD_PORT = 0xFFFB
@@ -215,10 +215,10 @@ def _carried_parse(dp: Any, frame: EthernetFrame) -> ParsedFrame:
 
     Every datapath ingress path rebinds ``dp.carried[0]`` to the
     current frame's :class:`ParsedFrame` before actions run, so this
-    is an attribute read plus an identity check.  A caller executing
-    actions *outside* a pipeline pass (OpenFlow packet-out, direct
-    ``execute`` in tests) has no carried parse and pays a one-off
-    ``parse_frame`` — never the fast path.
+    is an attribute read plus an identity check.  A caller running a
+    program *outside* a pipeline pass (tests calling ``entry.compiled``
+    directly) has no carried parse and pays a one-off ``parse_frame``
+    — never the fast path.
     """
     cell = getattr(dp, "carried", None)
     if cell is not None:
@@ -294,12 +294,11 @@ def resolve_select(dp: Any, action: SelectOutput,
                    parsed: ParsedFrame) -> int:
     """Reference semantics of :class:`SelectOutput` for one frame.
 
-    The interpreted action loop (and anything else outside a compiled
-    program) resolves the output port through here, so the compiled
-    shapes have exactly one oracle: stateless selects are pure
-    rendezvous over the flow hash; stateful selects (``group`` set)
-    consult the executing datapath's per-flow state table
-    (:mod:`repro.switch.state`).
+    Only the interpreted action loop resolves ports through here, so
+    the compiled picker (:func:`compile_select`) has exactly one
+    oracle: stateless selects are pure rendezvous over the flow hash;
+    stateful selects (``group`` set) consult the executing datapath's
+    per-flow state table (:mod:`repro.switch.state`).
     """
     if action.group is None:
         return rendezvous_select(action.ports, flow_hash(parsed))
@@ -307,36 +306,27 @@ def resolve_select(dp: Any, action: SelectOutput,
     return table.steer(parsed, action.ports, frozenset(action.ports))
 
 
-def hoisted_select(action: SelectOutput) -> tuple:
-    """``(ports, seeds, port_set, group)`` of one SelectOutput, hoisted.
+def compile_select(action: SelectOutput):
+    """The per-frame replica picker of one SelectOutput, constants hoisted.
 
-    Everything a per-frame replica pick needs that is derivable from
-    the action alone: the port tuple, the aligned rendezvous seed
-    tuple (:func:`_port_seed`), the frozen live-port set the stateful
-    steer consults, and the state-group name.  Computed once — at
-    compile time by :func:`_compile_select`, at trace time by the
-    chain-fusion select tail (:mod:`repro.switch.fusion`) — so both
-    consumers pick replicas from identical constants.
+    The one place production code builds a replica pick: per-hop
+    programs (:func:`compile_actions`) and the chain-fusion select
+    tail (:class:`~repro.switch.fusion.FusedSelectChain`) both call
+    the returned ``pick(dp, parsed) -> port``, so they choose from
+    identical constants — ports, aligned rendezvous seeds
+    (:func:`_port_seed`) and, for stateful spreads, the frozen
+    live-port set.  A stateful picker resolves its datapath's state
+    table on first use and caches it (a program only ever runs on the
+    datapath whose table holds its entry).
     """
     ports = action.ports
-    return (ports, tuple(_port_seed(port) for port in ports),
-            frozenset(ports), action.group)
-
-
-def _compile_select(action: SelectOutput):
-    """The per-frame port picker of one SelectOutput, constants hoisted.
-
-    Returns ``pick(dp, parsed) -> port`` with everything derivable
-    from the action (see :func:`hoisted_select`) computed here, once
-    per install.  A stateful picker resolves its datapath's state
-    table on first use and caches it (a compiled program only ever
-    runs on the datapath whose table holds its entry).
-    """
-    ports, seeds, port_set, group = hoisted_select(action)
+    seeds = tuple(_port_seed(port) for port in ports)
+    group = action.group
     if group is None:
         def pick(dp: Any, parsed: ParsedFrame) -> int:
             return rendezvous_select(ports, flow_hash(parsed), seeds)
         return pick
+    port_set = frozenset(ports)
     cache: list = [None, None]
 
     def pick_stateful(dp: Any, parsed: ParsedFrame) -> int:
@@ -362,65 +352,158 @@ EmitFn = Callable[[int, int, EthernetFrame], None]
 #: to the current frame before actions run (see :func:`_carried_parse`).
 #: Every compiled program carries a ``mutates`` attribute: True when the
 #: list contains a frame transform (push/pop/set-field), i.e. when an
-#: emitted frame can be a different object than the input frame.  The
-#: batched pipeline dispatches on the tag: a non-mutating program always
-#: emits the ingress frame itself, so it runs with a carry-only emit
-#: that forwards the existing :class:`~repro.net.builder.ParsedFrame`
-#: to the next hop without even an identity check (see
-#: ``Datapath._batch_emit``).
+#: emitted frame can be a different object than the input frame.  A
+#: non-mutating program only ever emits the ingress frame itself, which
+#: lets ``Datapath._batch_hop`` forward its carried parse without
+#: even an identity check.  A program that is nothing but one constant
+#: output also carries ``out_port``.
 CompiledActions = Callable[[Any, int, EthernetFrame, EmitFn], None]
 
-# Opcodes of the generic (non-specialized) compiled program.
-_OP_XFORM = 0   # arg: frame -> frame (may raise ActionError)
-_OP_OUT = 1     # arg: output port number
-_OP_CTRL = 2    # arg: unused (packet-in punt)
-_OP_SELECT = 3  # arg: the SelectOutput action (rendezvous-select one port)
+
+def splice_fields_valid(fields: dict) -> bool:
+    """Whether a composed rewrite passes the ``EthernetFrame``
+    constructor checks for every frame (VLAN id and PCP in range)."""
+    vlan = fields.get("vlan")
+    if vlan is not None and not 0 <= vlan <= 0xFFF:
+        return False
+    pcp = fields.get("vlan_pcp")
+    if pcp is not None and not 0 <= pcp <= 7:
+        return False
+    return True
 
 
-def _compile_transform(action: "PushVlan | PopVlan | SetField"):
-    """One frame transform, specialized at compile time.
+def compile_splice(fields: dict):
+    """The frame→frame closure applying one composed L2 rewrite, or
+    ``None`` for the identity.
 
-    Everything per-frame is reduced to a single ``replace``: VLAN ids
-    and PCPs are closed over as ints, and — the point of this function —
-    a :class:`SetField` MAC target is converted to a
-    :class:`MacAddress` exactly once here, not once per frame inside
-    ``SetField.apply``.
+    ``replace(eth, **fields)`` would run the dataclass constructor
+    and its range checks once per frame; the constants are validated
+    once, here, and the splice builds the frame structurally
+    (``__new__`` + one dict merge).  A constant the constructor would
+    reject keeps the per-frame ``replace``, which raises on every
+    frame exactly as the reference interpreter's ``apply`` does.
     """
-    if isinstance(action, PushVlan):
-        vid, pcp = action.vid, action.pcp
+    if not fields:
+        return None
+    fields = dict(fields)
+    if not splice_fields_valid(fields):
+        return lambda eth: replace(eth, **fields)
 
-        def push(frame: EthernetFrame) -> EthernetFrame:
-            return replace(frame, vlan=vid, vlan_pcp=pcp)
-        return push
-    if isinstance(action, PopVlan):
-        def pop(frame: EthernetFrame) -> EthernetFrame:
-            if frame.vlan is None:
-                raise ActionError("pop_vlan on an untagged frame")
-            return replace(frame, vlan=None, vlan_pcp=0)
-        return pop
-    if action.field == "eth_src":
-        src_mac = MacAddress(action.value)
+    def splice(eth: EthernetFrame, _new=EthernetFrame.__new__,
+               _cls=EthernetFrame, _fields=fields) -> EthernetFrame:
+        out = _new(_cls)
+        out.__dict__ = {**eth.__dict__, **_fields}
+        return out
+    return splice
 
-        def set_src(frame: EthernetFrame) -> EthernetFrame:
-            return replace(frame, src=src_mac)
-        return set_src
-    if action.field == "eth_dst":
-        dst_mac = MacAddress(action.value)
 
-        def set_dst(frame: EthernetFrame) -> EthernetFrame:
-            return replace(frame, dst=dst_mac)
-        return set_dst
-    new_vid = int(action.value)
+def lower_actions(actions: Sequence[Action]) -> tuple:
+    """Lower an action list to ``(segments, cut_tagged, cut_untagged)``.
 
-    def set_vid(frame: EthernetFrame) -> EthernetFrame:
-        if frame.vlan is None:
-            raise ActionError("set vlan_vid on an untagged frame")
-        return replace(frame, vlan=new_vid)
-    return set_vid
+    The one place the VLAN/MAC rewrite composition lives.  A *segment*
+    is ``(fields, sinks)``: ``fields`` is the ``EthernetFrame`` field
+    dict composed from the transforms since the previous emission
+    point (relative to the frame that point emitted; empty when
+    nothing was rewritten), ``sinks`` the emitting actions
+    (``Output`` / ``SelectOutput`` / ``Controller``) that see the
+    rewritten frame.  A one-port ``SelectOutput`` has nothing to pick
+    and lowers to a plain ``Output``.
+
+    The composition is frame-independent; only *where the list aborts*
+    is not — ``PopVlan`` / set ``vlan_vid`` on an untagged frame is an
+    :class:`ActionError` that ends the list with the segments before
+    it already emitted.  That point is resolved symbolically for both
+    ingress tag states: ``cut_tagged`` / ``cut_untagged`` is how many
+    sinks a frame that arrived tagged / untagged reaches before the
+    error, ``None`` when it runs the whole list.
+
+    Unknown action types (and malformed set-field MACs) fail here, at
+    install time, instead of on the first matching packet.
+    """
+    segments: list = []
+    fields: dict = {}
+    emitted = False  # has the open ``fields`` dict been emitted yet?
+    tagged = [True, False]  # current tag state per ingress tag state
+    cuts: list = [None, None]
+    reached = 0  # sinks so far
+    for action in actions:
+        kind = type(action)
+        if kind is Output or kind is Controller or kind is SelectOutput:
+            reached += 1
+            if kind is SelectOutput and len(action.ports) == 1:
+                action = Output(action.ports[0])
+            if emitted:
+                segments[-1][1].append(action)
+            else:
+                segments.append((fields, [action]))
+                emitted = True
+            continue
+        if emitted:
+            fields = {}
+            emitted = False
+        if kind is PushVlan:
+            fields["vlan"] = action.vid
+            fields["vlan_pcp"] = action.pcp
+            tagged = [True, True]
+        elif kind is PopVlan or (kind is SetField
+                                 and action.field == "vlan_vid"):
+            for branch in (0, 1):
+                if not tagged[branch] and cuts[branch] is None:
+                    cuts[branch] = reached
+            if kind is PopVlan:
+                fields["vlan"] = None
+                fields["vlan_pcp"] = 0
+                tagged = [False, False]
+            else:
+                fields["vlan"] = int(action.value)
+        elif kind is SetField:
+            fields["src" if action.field == "eth_src" else "dst"] = \
+                MacAddress(action.value)
+        else:
+            raise TypeError(f"unknown action {action!r}")
+    return segments, cuts[0], cuts[1]
+
+
+def _pure_output(out: int) -> CompiledActions:
+    def run_out(dp: Any, in_port: int, frame: EthernetFrame,
+                emit: EmitFn) -> None:
+        emit(out, in_port, frame)
+    run_out.mutates = False
+    # Pure-output marker: the batched pipeline reads this to skip the
+    # program call (and the carried-cell rebind) entirely and enqueue
+    # the parsed frame straight on the port.
+    run_out.out_port = out
+    return run_out
+
+
+def _compile_sink(action: "Output | SelectOutput | Controller"):
+    """``sink(dp, in_port, frame, current, emit)`` for one emitting
+    action: ``frame`` is the ingress frame, ``current`` the rewritten
+    one the sink hands on."""
+    if type(action) is Output:
+        out = action.port
+
+        def output(dp, in_port, frame, current, emit) -> None:
+            emit(out, in_port, current)
+        return output
+    if type(action) is SelectOutput:
+        pick = compile_select(action)
+
+        def select(dp, in_port, frame, current, emit) -> None:
+            # Hash on the *ingress* frame's parse: every transform is
+            # L2-only, so the 5-tuple is the carried one either way.
+            emit(pick(dp, _carried_parse(dp, frame)), in_port, current)
+        return select
+
+    def punt(dp, in_port, frame, current, emit) -> None:
+        handler = dp.packet_in_handler
+        if handler is not None:
+            handler(dp, in_port, current)
+    return punt
 
 
 def compile_actions(actions: Sequence[Action]) -> CompiledActions:
-    """Compile an action list into a single fused per-frame closure.
+    """Compile an action list into a single per-frame closure.
 
     The returned program is semantically identical to interpreting the
     list: transforms apply left to right, an :class:`ActionError`
@@ -430,166 +513,46 @@ def compile_actions(actions: Sequence[Action]) -> CompiledActions:
     in ``tests/test_compiled_actions.py`` asserts this equivalence over
     random action lists and frames.
 
-    Constant work happens here, not per frame: set-field targets (e.g.
-    MAC addresses given as strings) are converted once, and the program
-    is tagged with ``mutates`` (see :data:`CompiledActions`).
-
-    Unknown action types fail here, at compile time, instead of on the
-    first matching packet.
+    There is one lowering (:func:`lower_actions`): each segment's
+    rewrite becomes one :func:`compile_splice` closure and each sink
+    one :func:`_compile_sink` closure, so the per-frame work is a walk
+    over ``(rewrite, sink)`` steps — cut short, per ingress tag state,
+    at the symbolically resolved error point.  Constant work (set-field
+    MAC targets, rendezvous seeds) happens here, not per frame.
     """
     acts = tuple(actions)
-    kinds = tuple(type(action) for action in acts)
+    # Most installs are plain forwarding rules: skip the lowering.
+    if len(acts) == 1 and type(acts[0]) is Output:
+        return _pure_output(acts[0].port)
+    segments, cut_tagged, cut_untagged = lower_actions(acts)
+    if len(acts) == 1 and segments and type(segments[0][1][0]) is Output:
+        return _pure_output(segments[0][1][0].port)  # one-port select
 
-    # Fused fast shapes — everything the steering layer emits
-    # (see TrafficSteeringManager._install_rule) compiles to one of
-    # these: straight-line code, at most one frame copy, no loop.
-    if kinds == (Output,):
-        out = acts[0].port
+    flat = []
+    for fields, sinks in segments:
+        rewrite = compile_splice(fields)
+        for action in sinks:
+            flat.append((rewrite, _compile_sink(action)))
+            rewrite = None
+    steps = tuple(flat)
+    # ``plans[frame.vlan is None]``: the steps a tagged / untagged
+    # ingress frame runs, and whether they end in an action error.
+    plans = ((steps[:cut_tagged], cut_tagged is not None),
+             (steps[:cut_untagged], cut_untagged is not None))
+    drops = not steps
 
-        def run_out(dp: Any, in_port: int, frame: EthernetFrame,
-                    emit: EmitFn) -> None:
-            emit(out, in_port, frame)
-        run_out.mutates = False
-        # Pure-output marker: the batched pipeline reads this to skip
-        # the program call (and the carried-cell rebind) entirely and
-        # enqueue the parsed frame straight on the port — the per-emit
-        # specialization of chain hops (see Datapath.process_batch_from).
-        run_out.out_port = out
-        return run_out
-
-    if kinds == (SelectOutput,):
-        select_ports = acts[0].ports
-        if len(select_ports) == 1:
-            only = select_ports[0]
-
-            def run_select_one(dp: Any, in_port: int, frame: EthernetFrame,
-                               emit: EmitFn) -> None:
-                emit(only, in_port, frame)
-            run_select_one.mutates = False
-            run_select_one.out_port = only
-            return run_select_one
-        pick = _compile_select(acts[0])
-
-        def run_select(dp: Any, in_port: int, frame: EthernetFrame,
-                       emit: EmitFn) -> None:
-            emit(pick(dp, _carried_parse(dp, frame)), in_port, frame)
-        run_select.mutates = False
-        return run_select
-
-    if kinds == (PopVlan, SelectOutput):
-        # The LB tail of an inter-LSI segment: strip the internal tag,
-        # rendezvous-spread across the replica ports.  The hash reads
-        # the *carried* parse of the ingress frame — VLAN ops never
-        # touch the 5-tuple, so affinity is computed before the copy.
-        pick = _compile_select(acts[1])
-
-        def run_pop_select(dp: Any, in_port: int, frame: EthernetFrame,
-                           emit: EmitFn) -> None:
-            if frame.vlan is None:
-                dp.action_errors += 1
-                return
-            out = pick(dp, _carried_parse(dp, frame))
-            emit(out, in_port, replace(frame, vlan=None, vlan_pcp=0))
-        run_pop_select.mutates = True
-        return run_pop_select
-
-    if kinds == (PushVlan, Output):
-        vid, pcp, out = acts[0].vid, acts[0].pcp, acts[1].port
-
-        def run_push_out(dp: Any, in_port: int, frame: EthernetFrame,
-                         emit: EmitFn) -> None:
-            emit(out, in_port, replace(frame, vlan=vid, vlan_pcp=pcp))
-        run_push_out.mutates = True
-        return run_push_out
-
-    if kinds == (PopVlan, Output):
-        out = acts[1].port
-
-        def run_pop_out(dp: Any, in_port: int, frame: EthernetFrame,
-                        emit: EmitFn) -> None:
-            if frame.vlan is None:
-                dp.action_errors += 1
-                return
-            emit(out, in_port, replace(frame, vlan=None, vlan_pcp=0))
-        run_pop_out.mutates = True
-        return run_pop_out
-
-    if kinds == (PopVlan, PushVlan, Output):
-        # Retag: pop+push fuse into a single replace (one frame copy
-        # instead of two) — the inter-LSI segment's exact shape.
-        vid, pcp, out = acts[1].vid, acts[1].pcp, acts[2].port
-
-        def run_retag_out(dp: Any, in_port: int, frame: EthernetFrame,
-                          emit: EmitFn) -> None:
-            if frame.vlan is None:
-                dp.action_errors += 1
-                return
-            emit(out, in_port, replace(frame, vlan=vid, vlan_pcp=pcp))
-        run_retag_out.mutates = True
-        return run_retag_out
-
-    if kinds == (SetField, PushVlan, Output) \
-            and acts[0].field in ("eth_src", "eth_dst"):
-        # MAC rewrite + tag fuse into one replace; the MacAddress target
-        # is built here, once per install, never per frame.
-        mac_kw = {"src" if acts[0].field == "eth_src" else "dst":
-                  MacAddress(acts[0].value)}
-        vid, pcp, out = acts[1].vid, acts[1].pcp, acts[2].port
-
-        def run_setmac_push_out(dp: Any, in_port: int, frame: EthernetFrame,
-                                emit: EmitFn) -> None:
-            emit(out, in_port,
-                 replace(frame, vlan=vid, vlan_pcp=pcp, **mac_kw))
-        run_setmac_push_out.mutates = True
-        return run_setmac_push_out
-
-    # Generic program: dispatch resolved at compile time into small-int
-    # opcodes; transforms are closures specialized per action (see
-    # :func:`_compile_transform`).
-    steps: list[tuple[int, Any]] = []
-    emits = False
-    mutates = False
-    for action in acts:
-        if isinstance(action, Output):
-            steps.append((_OP_OUT, action.port))
-            emits = True
-        elif isinstance(action, Controller):
-            steps.append((_OP_CTRL, None))
-            emits = True
-        elif isinstance(action, SelectOutput):
-            steps.append((_OP_SELECT, _compile_select(action)))
-            emits = True
-        elif isinstance(action, (PushVlan, PopVlan, SetField)):
-            steps.append((_OP_XFORM, _compile_transform(action)))
-            mutates = True
-        else:
-            raise TypeError(f"unknown action {action!r}")
-    program = tuple(steps)
-    drops = not emits
-
-    def run_generic(dp: Any, in_port: int, frame: EthernetFrame,
-                    emit: EmitFn) -> None:
+    def run(dp: Any, in_port: int, frame: EthernetFrame,
+            emit: EmitFn) -> None:
+        steps, failed = plans[frame.vlan is None]
         current = frame
-        for op, arg in program:
-            if op == _OP_OUT:
-                emit(arg, in_port, current)
-            elif op == _OP_XFORM:
-                try:
-                    current = arg(current)
-                except ActionError:
-                    dp.action_errors += 1
-                    return
-            elif op == _OP_SELECT:
-                # Hash on the *ingress* frame's parse: the transforms a
-                # program may have applied are all L2-only, so the
-                # 5-tuple is the carried one either way.
-                parsed = _carried_parse(dp, frame)
-                emit(arg(dp, parsed), in_port, current)
-            else:
-                handler = dp.packet_in_handler
-                if handler is not None:
-                    handler(dp, in_port, current)
-        if drops:
+        for rewrite, sink in steps:
+            if rewrite is not None:
+                current = rewrite(current)
+            sink(dp, in_port, frame, current, emit)
+        if failed:
+            dp.action_errors += 1
+        elif drops:
             dp.dropped += 1
-    run_generic.mutates = mutates
-    return run_generic
+    run.mutates = any(type(action) in (PushVlan, PopVlan, SetField)
+                      for action in acts)
+    return run

@@ -5,20 +5,19 @@ either wrap a :class:`~repro.linuxnet.devices.NetDevice` (NF ports and
 node physical ports) or connect to another datapath through a
 :class:`~repro.switch.lsi.VirtualLink` (inter-LSI wiring).
 
-Three ingress paths exist:
+Two ingress paths exist:
 
-* :meth:`Datapath.process` — one frame, counters updated inline;
-* :meth:`Datapath.process_batch` — many ``(in_port, frame)`` pairs,
-  amortizing per-packet overheads: flow counters *and* port rx/tx
-  counters are accumulated locally and flushed once per batch, and
-  frames leaving through a virtual link are carried to the far LSI as
-  one batch so a whole chain of LSIs runs batch-at-a-time;
-* :meth:`Datapath.process_batch_from` — a whole batch from *one*
-  ingress port (what virtual links and batch-aware NetDevices deliver);
-  same semantics with the port lookup and rx accounting hoisted out of
-  the per-frame loop.
+* :meth:`Datapath.process` — one frame, counters updated inline: the
+  *reference* semantics every batch result is differentially pinned
+  against, and the live path of frame-at-a-time device ingress;
+* :meth:`Datapath.process_batch_from` — the *production* path: a
+  whole batch from one ingress port (what virtual links and
+  batch-aware NetDevices deliver).  The port is resolved once, flow
+  counters *and* port rx/tx counters flush once per batch, and frames
+  leaving through a virtual link are carried to the far LSI as one
+  batch, so a whole chain of LSIs runs batch-at-a-time.
 
-The batch paths are *zero-reparse*: each frame is parsed at most once
+The batch path is *zero-reparse*: each frame is parsed at most once
 per chain.  Batch items may be raw :class:`EthernetFrame` objects
 (parsed on entry) or already-carried
 :class:`~repro.net.builder.ParsedFrame` views; egress queues hold
@@ -29,31 +28,31 @@ rewrites a frame (``compiled.mutates``), the emitted frame's parse is
 *derived* from the carried one (:meth:`ParsedFrame.derive`): still-valid
 layers carry over, anything the rewrite could have touched is dropped.
 
-Action execution is *compiled*: every matching frame runs its entry's
-cached closure (one call — see
-:func:`repro.switch.actions.compile_actions`).  Set
-``datapath.compiled_actions = False`` to fall back to the interpreted
-reference loop (:meth:`Datapath.execute_interpreted`), which the perf
-sweep uses as its baseline and the property suite as its oracle.
+Action execution is *compiled*: every matching frame, on either
+path, runs its entry's cached closure (see
+:func:`repro.switch.actions.compile_actions`).
+:meth:`Datapath.execute_interpreted` is the reference interpreter the
+property suite holds those closures to, and what one-shot OpenFlow
+packet-out lists run through.
 
 One level further up sits *chain fusion*
 (:mod:`repro.switch.fusion`): when an ingress entry's whole chain —
-pure-output/rewrite hops over ``carry_parsed`` links to a terminal
-egress — is statically determined, the batch paths collect its frames
-into one group and settle the entire traversal at flush through a
-:class:`~repro.switch.fusion.FusedChain`: a single ingress lookup, no
-intermediate ``carry_batch``/``process_batch_from`` round-trips, all
-per-hop counters accumulated arithmetically.  Fused programs are
-re-validated immediately before running, so any mid-batch change
-along the chain falls the group back to the per-hop batch path, which
-stays the differential oracle (``datapath.fusion.enabled = False``
-pins it).
+pure-output/rewrite hops over virtual links to a terminal egress — is
+statically determined, the batch path collects its frames into one
+group and settles the entire traversal at flush through a
+:class:`~repro.switch.fusion.FusedChain`: a single ingress lookup (or
+none, through the per-port dispatch table), no intermediate
+``carry_batch``/``process_batch_from`` round-trips, all per-hop
+counters accumulated arithmetically.  Fused programs are re-validated
+immediately before running, so any mid-batch change along the chain
+falls the group back to the per-hop batch path, which stays the
+differential oracle (``datapath.fusion.enabled = False`` pins it —
+together with ``table.oracle`` the only mode switches left).
 
-Batch contracts (both batch paths): the ingress port is resolved once
-per same-port run (not per frame), taps run in a pre-pass over the
-run's frames before any lookup, and rx counters flush once per run —
-a packet-in handler therefore sees pre-run rx totals, pre-batch
-flow/tx totals.
+Batch contracts: the ingress port is resolved once per batch (not per
+frame), taps run in a pre-pass over the batch's frames before any
+lookup, and rx counters flush once per batch — a packet-in handler
+therefore sees pre-batch rx, flow and tx totals.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from repro.switch.actions import (
     resolve_select,
 )
 from repro.switch.flowtable import FlowEntry, FlowTable
-from repro.switch.fusion import FusedChain, FusionEngine
+from repro.switch.fusion import FusionEngine
 from repro.switch.state import FlowStateRegistry
 
 __all__ = ["Datapath", "SwitchPort"]
@@ -112,18 +111,14 @@ class SwitchPort:
             self.peer_link.carry(self, frame)
 
     def deliver_out_batch(self, frames: list[ParsedFrame],
-                          nbytes: Optional[int] = None) -> None:
+                          nbytes: int) -> None:
         """Batch egress of carried parses: a device receives the raw
         frames in one ``transmit_batch``, a virtual-link peer receives
         the parsed views in one carry (no re-parse at the far LSI).
-
         ``nbytes`` is the batch's total wire length, accumulated by the
-        datapath's emit closures as frames were queued — passing it
-        spares the flush a second ``wire_len`` pass; ``None`` (direct
-        callers) re-sums."""
+        datapath's emit closures as frames were queued."""
         self.tx_packets += len(frames)
-        self.tx_bytes += (nbytes if nbytes is not None
-                          else sum(parsed.wire_len for parsed in frames))
+        self.tx_bytes += nbytes
         if self.device is not None:
             self.device.transmit_batch([parsed.eth for parsed in frames])
         elif self.peer_link is not None:
@@ -135,12 +130,13 @@ class SwitchPort:
 
 class _BatchState:
     """Shared mutable state of one batch invocation: the flow-counter
-    accumulator and egress queues every ingress run feeds, the emit
-    closures bound to them, and — when fusion is engaged — the fused
-    groups awaiting settlement in :meth:`Datapath._finish_batch`.
+    accumulator and egress queues the ingress loop feeds, the emit
+    and per-hop ``run_hop`` closures bound to them, and — when fusion
+    is engaged — the fused groups awaiting settlement in
+    :meth:`Datapath._finish_batch`.
 
     ``fusion`` is the ingress datapath's engine when fusion is live
-    for this batch (enabled, compiled mode, no taps), else ``None``.
+    for this batch (enabled, no taps), else ``None``.
     ``fused`` maps ingress ``entry_id`` to
     ``[program, frames, nbytes, in_port, disp_n, disp_bytes]``
     groups — ``disp_n``/``disp_bytes`` count the group's frames that
@@ -150,13 +146,12 @@ class _BatchState:
     arrival path, so per-entry egress order survives a mid-batch mix
     of dispatch hits and lookup hits.  ``dispatch_engaged`` records
     whether the per-port dispatch layer was live for this batch (it
-    additionally requires ``fusion.dispatch_enabled`` and the table's
-    oracle mode off — dispatch skips ``lookup()``, which would
-    silently bypass the oracle cross-check).
+    additionally requires the table's oracle mode off — dispatch skips
+    ``lookup()``, which would silently bypass the oracle cross-check).
     """
 
-    __slots__ = ("pending", "queues", "emit", "emit_carry", "enqueue",
-                 "fusion", "fused", "dispatch_engaged", "trace")
+    __slots__ = ("pending", "queues", "run_hop", "fusion", "fused",
+                 "dispatch_engaged", "trace")
 
 
 class Datapath:
@@ -175,9 +170,6 @@ class Datapath:
         self.table_misses = 0
         self.dropped = 0
         self.action_errors = 0
-        #: False switches execute() to the interpreted reference loop
-        #: (perf baseline / property-test oracle).
-        self.compiled_actions = True
         #: ``[ParsedFrame, wire_len]`` of the frame whose actions are
         #: currently executing.  Every ingress path rebinds slot 0
         #: before actions run; compiled programs that need header
@@ -188,9 +180,9 @@ class Datapath:
         #: programs read the cell before any punt.
         self.carried: list = [None, 0]
         #: Chain-fusion engine for chains whose *ingress* is this LSI
-        #: (see :mod:`repro.switch.fusion`).  On by default; the perf
-        #: sweep's per-hop leg and the differential oracle disable it
-        #: per instance.
+        #: (see :mod:`repro.switch.fusion`).  On by default; the
+        #: differential oracle and the perf sweep's per-hop leg pin
+        #: ``fusion.enabled = False`` per instance.
         self.fusion = FusionEngine(self)
         #: Per-flow state tables consulted by stateful select-output
         #: actions (``SelectOutput.group``); see
@@ -199,10 +191,10 @@ class Datapath:
         #: rule churn of a scale event by design.
         self.flow_state = FlowStateRegistry(name=self.name)
         #: Optional :class:`repro.telemetry.tracing.Tracer`.  When
-        #: attached, ``_begin_batch`` runs its 1-in-N sampler inline —
-        #: an unsampled batch pays one counter compare and nothing
-        #: else; a sampled batch records an ingress→dispatch→hops→
-        #: egress span tree and the per-batch latency histogram.
+        #: attached, ``process_batch_from`` runs its 1-in-N sampler
+        #: inline — an unsampled batch pays one counter compare and
+        #: nothing else; a sampled batch records an ingress→dispatch→
+        #: hops→egress span tree and the per-batch latency histogram.
         self.tracer = None
 
     # -- port management --------------------------------------------------------
@@ -275,36 +267,35 @@ class Datapath:
         carried = self.carried
         carried[0] = parsed
         carried[1] = parsed.wire_len
-        self.execute(entry, in_port, frame)
+        entry.compiled(self, in_port, frame, self._emit)
 
-    def _batch_emit(self, queues: dict[int, list], carried: list):
-        """Build the shared egress closures of one batch run.
+    def _batch_hop(self, queues: dict[int, list]):
+        """Build the per-hop execution arm of one batch:
+        ``run_hop(entry, in_port, parsed, size)`` runs one matched
+        frame's actions into the egress ``queues``.  The ingress loop
+        and the stale-program fallback both go through it, so fused
+        programs have exactly one per-hop body to stay equivalent to.
 
-        ``carried[0]`` is rebound to the current frame's
-        :class:`ParsedFrame` (and ``carried[1]`` to its wire length)
-        before each program runs.  Each queue is a two-slot
-        ``[frames, nbytes]`` accumulator: the emit closures add every
-        frame's wire length as it is queued, so the flush hands the
-        egress port a ready total instead of re-summing ``wire_len``
-        over the whole queue.  Two emit closures share the queues,
-        selected per entry by the compiled program's ``mutates`` tag:
+        Each queue is a two-slot ``[frames, nbytes]`` accumulator, so
+        the flush hands the egress port a ready byte total.  The arm
+        rebinds ``self.carried`` to the frame's :class:`ParsedFrame`
+        (and wire length), then enqueues directly for pure-output
+        entries (``entry.fast_out`` — no program call) or calls the
+        compiled program with one of two emit closures, selected by
+        its ``mutates`` tag:
 
-        * ``emit`` (mutating programs, and the interpreted loop)
-          re-attaches the carried parse to whatever the program hands
-          back — an emitted frame identical to the ingress frame keeps
-          its parse wholesale, a rewritten frame gets a parse *derived*
-          from it, so still-valid layers are never decoded again;
+        * ``emit`` (mutating programs) re-attaches the carried parse
+          to whatever the program hands back — an emitted frame
+          identical to the ingress frame keeps its parse wholesale, a
+          rewritten frame gets a parse *derived* from it, so
+          still-valid layers are never decoded again;
         * ``emit_carry`` (non-mutating programs) skips even that
           identity check: such a program only ever emits the ingress
           frame object itself, so the carried parse (and its
           already-known size) is forwarded as-is.
-
-        Pure-output entries (``compiled.out_port`` set) bypass all of
-        this: the batch loops inline the enqueue per entry and never
-        rebind ``carried`` for them; ``enqueue`` is returned so those
-        inline paths can hand cold ports / FLOOD to ``_route``.
         """
         ports = self.ports
+        carried = self.carried
 
         def enqueue(number: int, port: SwitchPort,
                     parsed: ParsedFrame) -> None:
@@ -337,77 +328,38 @@ class Datapath:
 
         def emit_carry(out_port: int, in_port: int,
                        frame: EthernetFrame) -> None:
-            parsed = carried[0]
             acc = queues.get(out_port)
             if acc is not None:
-                acc[0].append(parsed)
+                acc[0].append(carried[0])
                 acc[1] += carried[1]
                 return
             if out_port == FLOOD_PORT or out_port not in ports:
-                self._route(out_port, in_port, parsed, enqueue)
+                self._route(out_port, in_port, carried[0], enqueue)
                 return
-            queues[out_port] = [[parsed], carried[1]]
+            queues[out_port] = [[carried[0]], carried[1]]
 
-        return emit, emit_carry, enqueue
+        def run_hop(entry: FlowEntry, in_port: int, parsed: ParsedFrame,
+                    size: int) -> None:
+            carried[0] = parsed
+            carried[1] = size
+            if entry.fast_out is not None:
+                emit_carry(entry.fast_out, in_port, parsed.eth)
+                return
+            program = entry.compiled
+            program(self, in_port, parsed.eth,
+                    emit if program.mutates else emit_carry)
 
-    def _flush_batch(self, pending: dict, queues: dict[int, list]) -> None:
-        """Write the flow counters and drain the egress queues of one
-        batch run (rx counters are flushed by the caller, whose
-        accumulation shape differs per ingress path).  Each queue
-        carries its byte total alongside the frames, so no second
-        ``wire_len`` pass happens here."""
-        table = self.table
-        for entry, packets, nbytes in pending.values():
-            table.credit(entry, packets, nbytes)
-        for port_no, (frames, nbytes) in queues.items():
-            port = self.ports.get(port_no)
-            if port is None:  # removed by a tap/handler mid-batch
-                self.dropped += len(frames)
-                continue
-            port.deliver_out_batch(frames, nbytes)
-
-    def _begin_batch(self) -> _BatchState:
-        """Build the shared state of one batch invocation."""
-        state = _BatchState()
-        state.pending = {}
-        state.queues = {}
-        state.emit, state.emit_carry, state.enqueue = \
-            self._batch_emit(state.queues, self.carried)
-        engine = self.fusion
-        # Fusion engages only when the chain hot path itself would run
-        # unobserved: compiled mode and no taps (a tap must see every
-        # frame per hop, which a fused chain by design does not do).
-        state.fusion = (engine if engine.enabled and self.compiled_actions
-                        and not self.taps else None)
-        state.fused = {}
-        state.dispatch_engaged = False
-        tracer = self.tracer
-        if tracer is None:
-            state.trace = None
-        else:
-            # Inline 1-in-N batch sampler: the unsampled path is this
-            # counter bump and compare, with no call and no clock read.
-            n = tracer.batch_counter + 1
-            if n >= tracer.sample_every:
-                tracer.batch_counter = 0
-                state.trace = tracer.begin_batch(self.name)
-            else:
-                tracer.batch_counter = n
-                state.trace = None
-        return state
+        return run_hop
 
     def _run_ingress(self, in_port: int,
                      frames: "Iterable[EthernetFrame | ParsedFrame]",
                      state: _BatchState) -> None:
-        """The one batch inner loop: run a same-ingress-port run of
-        frames into the batch state.  Both batch entry points reduce
-        to calls of this (their only difference is how runs are
-        segmented), so the fusion fallback has exactly one per-hop body
-        to stay equivalent to.
+        """The batch inner loop: run one ingress port's frames into
+        the batch state.
 
         Taps run in a pre-pass (frames are parsed once, here or in the
         loop, never twice); rx counters flush in this method's
-        ``finally``, once per run, covering exactly the frames pulled
+        ``finally``, once per batch, covering exactly the frames pulled
         from the iterator.
         """
         port = self.ports.get(in_port)
@@ -423,19 +375,12 @@ class Datapath:
                 for tap in taps:
                     tap(in_port, eth)
         table = self.table
-        ports = self.ports
-        compiled = self.compiled_actions
         pending = state.pending
-        queues = state.queues
-        emit = state.emit
-        emit_carry = state.emit_carry
-        enqueue = state.enqueue
+        run_hop = state.run_hop
         fusion = state.fusion
         fused = state.fused
-        carried = self.carried
         dispatch = None
-        if fusion is not None and fusion.dispatch_enabled \
-                and not table.oracle:
+        if fusion is not None and not table.oracle:
             dispatch = fusion.dispatch.get(in_port)
             if dispatch is None:
                 dispatch = fusion.dispatch[in_port] = {}
@@ -508,10 +453,8 @@ class Datapath:
                     acc[2] += size
                 if fusion is not None:
                     program = entry.fused
-                    if type(program) is int:
-                        program = (None if program != fusion.epoch
-                                   else program)
-                    if program is None:
+                    if program is None or (type(program) is int
+                                           and program != fusion.epoch):
                         program = fusion.trace(entry)
                     if type(program) is not int:
                         # Whole-chain hop: park the frame for one
@@ -526,83 +469,13 @@ class Datapath:
                             group[1].append(parsed)
                             group[2] += size
                         continue
-                if compiled:
-                    out_fast = entry.fast_out
-                    if out_fast is not None:
-                        # Pure-output hop: enqueue the carried parse
-                        # with one dict hit and an append — no carried
-                        # rebind, no program call, no emit closure.
-                        acc = queues.get(out_fast)
-                        if acc is not None:
-                            acc[0].append(parsed)
-                            acc[1] += size
-                        elif out_fast == FLOOD_PORT \
-                                or out_fast not in ports:
-                            self._route(out_fast, in_port, parsed, enqueue)
-                        else:
-                            queues[out_fast] = [[parsed], size]
-                        continue
-                    carried[0] = parsed
-                    carried[1] = size
-                    program = entry.compiled
-                    program(self, in_port, parsed.eth,
-                            emit if program.mutates else emit_carry)
-                else:
-                    carried[0] = parsed
-                    carried[1] = size
-                    self.execute_interpreted(entry.actions, in_port,
-                                             parsed.eth, emit)
+                run_hop(entry, in_port, parsed, size)
         finally:
-            # A bad frame or raising handler must not lose the run's
+            # A bad frame or raising handler must not lose the batch's
             # prefix: account what was actually pulled and processed.
             self.rx_packets += packets
             port.rx_packets += packets
             port.rx_bytes += nbytes
-
-    def _fused_fallback(self, entry: FlowEntry, frames: list[ParsedFrame],
-                        in_port: int, state: _BatchState) -> None:
-        """Per-hop execution of a fused group whose program went stale
-        between collection and flush (mid-batch flow-mod, port removal,
-        tap attach...).  The frames' ingress rx and flow counters are
-        already accounted; this replays only the execution arm of
-        :meth:`_run_ingress` into the live queues, after which the
-        normal flush carries them to the (possibly changed) next hop.
-
-        Dispatch-hit frames were parked *raw* (no ingress parse); they
-        get their one ``ParsedFrame`` here — the same single parse per
-        frame the per-hop path would have paid at ingress.
-        """
-        queues = state.queues
-        ports = self.ports
-        carried = self.carried
-        frames = [parsed if type(parsed) is ParsedFrame
-                  else parse_frame(parsed) for parsed in frames]
-        if not self.compiled_actions:  # flipped mid-batch
-            for parsed in frames:
-                carried[0] = parsed
-                carried[1] = parsed.wire_len
-                self.execute_interpreted(entry.actions, in_port,
-                                         parsed.eth, state.emit)
-            return
-        out_fast = entry.fast_out
-        if out_fast is not None:
-            for parsed in frames:
-                size = parsed.wire_len
-                acc = queues.get(out_fast)
-                if acc is not None:
-                    acc[0].append(parsed)
-                    acc[1] += size
-                elif out_fast == FLOOD_PORT or out_fast not in ports:
-                    self._route(out_fast, in_port, parsed, state.enqueue)
-                else:
-                    queues[out_fast] = [[parsed], size]
-            return
-        program = entry.compiled
-        deliver = state.emit if program.mutates else state.emit_carry
-        for parsed in frames:
-            carried[0] = parsed
-            carried[1] = parsed.wire_len
-            program(self, in_port, parsed.eth, deliver)
 
     def _finish_batch(self, state: _BatchState) -> None:
         """Settle one batch: run (or fall back) the fused groups, then
@@ -611,20 +484,26 @@ class Datapath:
         Every fused program is re-validated *immediately before*
         running, so a mid-batch change anywhere along its chain —
         flow-mod, replica change, port removal, tap attach, link
-        rewire — can never run a stale program: the group takes the
-        per-hop path and the program is dropped for re-tracing.
+        rewire — can never run a stale program: it is torn down for
+        re-tracing (:meth:`FusionEngine.drop`, counted and reported
+        like a proactive invalidation) and the group, its ingress rx
+        and flow counters already accounted, replays through the
+        per-hop ``run_hop`` arm into the live queues for the normal
+        flush to carry to the (possibly changed) next hop.
         """
         fusion = state.fusion
         if fusion is not None:
             hits = 0
             dispatched = 0
             table = self.table
+            run_hop = state.run_hop
             # Per-graph attribution (opt-in: steering-managed LSIs
             # only): cookie -> [matched, hits, dispatched] this batch.
             shares = {} if fusion.track_cookies else None
             for group in state.fused.values():
                 program, frames, nbytes, in_port, disp_n, disp_bytes = \
                     group
+                entry = program.ingress_entry
                 if disp_n:
                     # Dispatch-hit frames skipped table.lookup() and
                     # the pending accumulator; settle the ingress
@@ -633,29 +512,24 @@ class Datapath:
                     # per-hop-identical counter state.
                     dispatched += disp_n
                     table.lookups += disp_n
-                    table.credit(program.ingress_entry, disp_n,
-                                 disp_bytes)
+                    table.credit(entry, disp_n, disp_bytes)
                 if program.valid():
                     program.run(frames, nbytes)
                     group_hits = len(frames)
                     hits += group_hits
                 else:
-                    fusion.invalidations += 1
-                    entry = program.ingress_entry
-                    entry.fused = None
-                    slots = entry.dispatch
-                    if slots:
-                        # No slice may keep dispatching to a program
-                        # that just failed validation.
-                        for slot in slots:
-                            slot[0] = -1
-                            slot[1] = None
-                            slot[2] = None
-                        del slots[:]
-                    self._fused_fallback(entry, frames, in_port, state)
+                    fusion.drop((entry,))
+                    for frame in frames:
+                        # Dispatch-hit frames were parked *raw*; they
+                        # get their one ParsedFrame here — the single
+                        # parse per frame the per-hop path pays at
+                        # ingress.
+                        parsed = (frame if type(frame) is ParsedFrame
+                                  else parse_frame(frame))
+                        run_hop(entry, in_port, parsed, parsed.wire_len)
                     group_hits = 0
                 if shares is not None:
-                    cookie = program.ingress_entry.cookie
+                    cookie = entry.cookie
                     if cookie:
                         row = shares.get(cookie)
                         if row is None:
@@ -693,22 +567,33 @@ class Datapath:
                     if engaged:
                         totals[2] += c_disp
                         totals[3] += c_matched - c_disp
-        self._flush_batch(state.pending, state.queues)
+        # Flow counters, then the egress queues (each carries its byte
+        # total alongside the frames: no second ``wire_len`` pass).
+        table = self.table
+        for entry, packets, nbytes in state.pending.values():
+            table.credit(entry, packets, nbytes)
+        for port_no, (frames, nbytes) in state.queues.items():
+            port = self.ports.get(port_no)
+            if port is None:  # removed by a tap/handler mid-batch
+                self.dropped += len(frames)
+                continue
+            port.deliver_out_batch(frames, nbytes)
         if state.trace is not None:
             self.tracer.finish_batch(state.trace, self, state)
 
-    def process_batch(self,
-                      batch: "Iterable[tuple[int, EthernetFrame | ParsedFrame]]") -> None:
-        """Run a batch of ``(in_port, frame)`` through the pipeline.
+    def process_batch_from(
+            self, in_port: int,
+            frames: "Iterable[EthernetFrame | ParsedFrame]") -> None:
+        """Run a batch of frames arriving on one ingress port — what a
+        virtual link carries to the next LSI and what a batch-aware
+        :class:`NetDevice` hands its handler.  This is the chain hot
+        path.
 
         Behaviorally equivalent to calling :meth:`process` per frame,
-        except that side effects are amortized: the batch is segmented
-        into runs of consecutive same-``in_port`` frames, each handed
-        to the shared inner loop (:meth:`_run_ingress` — port resolved
-        once per run, taps in a pre-pass, rx counters flushed once per
-        run), while flow counters and egress queues span the whole
-        batch and flush once at the end (a tap or packet-in handler
-        that inspects them mid-batch sees pre-batch values).  Egress is
+        except that side effects are amortized: taps run in a
+        pre-pass, rx counters flush once, and flow counters and egress
+        queues flush at the end (a tap or packet-in handler that
+        inspects them mid-batch sees pre-batch values).  Egress is
         coalesced per output port — virtual links forward one batch to
         the far LSI instead of recursing per frame — and whole-chain
         fused entries settle straight to the terminal at flush.
@@ -721,47 +606,34 @@ class Datapath:
         :class:`ParsedFrame` views carried from an upstream hop; the
         latter are *not* re-parsed (see the module docstring).
         """
-        state = self._begin_batch()
-        run_port: Optional[int] = None
-        run: list = []
-        try:
-            for in_port, frame in batch:
-                if in_port != run_port and run:
-                    flushing, run = run, []
-                    self._run_ingress(run_port, flushing, state)
-                run_port = in_port
-                run.append(frame)
-            if run:
-                self._run_ingress(run_port, run, state)
-        finally:
-            self._finish_batch(state)
-
-    def process_batch_from(
-            self, in_port: int,
-            frames: "Iterable[EthernetFrame | ParsedFrame]") -> None:
-        """Run a batch of frames arriving on one ingress port.
-
-        Semantically ``process_batch((in_port, f) for f in frames)``,
-        but the single-port shape — what a virtual link carries to the
-        next LSI and what a batch-aware :class:`NetDevice` hands its
-        handler — is exactly one run of the shared inner loop: no
-        ``(port, frame)`` tuples and no segmentation scan.  This is
-        the chain hot path.
-        """
-        state = self._begin_batch()
+        state = _BatchState()
+        state.pending = {}
+        state.queues = {}
+        state.run_hop = self._batch_hop(state.queues)
+        engine = self.fusion
+        # Fusion engages only when the chain hot path itself would run
+        # unobserved: a tap must see every frame per hop, which a fused
+        # chain by design does not do.
+        state.fusion = engine if engine.enabled and not self.taps else None
+        state.fused = {}
+        state.dispatch_engaged = False
+        tracer = self.tracer
+        if tracer is None:
+            state.trace = None
+        else:
+            # Inline 1-in-N batch sampler: the unsampled path is this
+            # counter bump and compare, with no call and no clock read.
+            n = tracer.batch_counter + 1
+            if n >= tracer.sample_every:
+                tracer.batch_counter = 0
+                state.trace = tracer.begin_batch(self.name)
+            else:
+                tracer.batch_counter = n
+                state.trace = None
         try:
             self._run_ingress(in_port, frames, state)
         finally:
             self._finish_batch(state)
-
-    def execute(self, entry: FlowEntry, in_port: int,
-                frame: EthernetFrame, emit: Optional[EmitFn] = None) -> None:
-        """Run ``entry``'s actions on one frame (compiled by default)."""
-        deliver = self._emit if emit is None else emit
-        if self.compiled_actions:
-            entry.compiled(self, in_port, frame, deliver)
-        else:
-            self.execute_interpreted(entry.actions, in_port, frame, deliver)
 
     def execute_interpreted(self, actions: Iterable, in_port: int,
                             frame: EthernetFrame,

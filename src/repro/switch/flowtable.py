@@ -44,13 +44,10 @@ the chain):
   suite drives both paths with random tables and frames.
 
 * **Compiled actions.**  A :class:`FlowEntry` compiles its action list
-  into a fused closure (:func:`repro.switch.actions.compile_actions`)
+  into one closure (:func:`repro.switch.actions.compile_actions`)
   at construction and caches it in ``entry.compiled``; the datapath
-  executes that one closure per matching frame.  ``entry.actions`` is
-  normalized to a tuple so the list cannot be mutated in place behind
-  the cache; *rebinding* ``entry.actions`` after construction is
-  unsupported unless :meth:`FlowEntry.invalidate` is called to
-  recompile.
+  executes that one closure per matching frame (see
+  :class:`FlowEntry` for the rebinding rule).
 """
 
 from __future__ import annotations
@@ -70,12 +67,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.switch.actions import Action, CompiledActions
 
 __all__ = ["ANY_VLAN", "FlowEntry", "FlowMatch", "FlowTable",
-           "FlowTableOracleError", "NO_VLAN", "SMALL_TABLE_THRESHOLD"]
+           "FlowTableOracleError", "NO_VLAN", "SMALL_TABLE_THRESHOLD",
+           "UNKNOWN_VLAN"]
 
 #: Match any VLAN id (but the frame must be tagged).
 ANY_VLAN = -1
 #: Match only untagged frames.
 NO_VLAN = -2
+#: Not a match value but a *traffic* tag state for
+#: :meth:`FlowTable.slice_winner`: tagged, id not statically known.
+UNKNOWN_VLAN = -3
 
 #: Predicate compiled from one concrete FlowMatch field.
 MatchCheck = Callable[[int, ParsedFrame], bool]
@@ -276,8 +277,7 @@ class FlowMatch:
 
     def describe(self) -> str:
         parts = []
-        for name in ("in_port", "eth_src", "eth_dst", "eth_type", "vlan_vid",
-                     "ip_src", "ip_dst", "ip_proto", "tp_src", "tp_dst"):
+        for name in self._FIELDS:
             value = getattr(self, name)
             if value is not None:
                 if name == "vlan_vid" and value == ANY_VLAN:
@@ -324,14 +324,7 @@ class FlowEntry:
     bytes: int = 0
 
     def __post_init__(self) -> None:
-        self.actions = tuple(self.actions)
-        self.compiled: "CompiledActions" = compile_actions(self.actions)
-        #: Egress port of a pure-output program, else None.  The batched
-        #: datapath reads this per matched frame to skip the compiled
-        #: call entirely for plain forwarding hops (the per-entry emit
-        #: specialization), so it is cached here once per install.
-        self.fast_out: "int | None" = getattr(self.compiled, "out_port",
-                                              None)
+        self._compile()
         #: Chain-fusion cache (see :mod:`repro.switch.fusion`).
         #: Tri-state: ``None`` — never traced; a
         #: :class:`~repro.switch.fusion.FusedChain` — the straight-line
@@ -341,10 +334,38 @@ class FlowEntry:
         self.fused = None
         #: Back-references to the dispatch-table slots that resolve to
         #: this entry (see :class:`~repro.switch.fusion.FusionEngine`
-        #: ``dispatch``).  When this entry's fused program is dropped
-        #: reactively, the slots are stamped stale through this list so
-        #: no ``(in_port, vlan)`` slice keeps dispatching to it.
+        #: ``dispatch``).  When this entry's fused program is dropped,
+        #: :meth:`drop_fused` stamps the slots stale through this list
+        #: so no ``(in_port, vlan)`` slice keeps dispatching to it.
         self.dispatch: list = []
+
+    def _compile(self) -> None:
+        self.actions = tuple(self.actions)
+        self.compiled: "CompiledActions" = compile_actions(self.actions)
+        #: Egress port of a pure-output program, else None.  The batched
+        #: datapath reads this per matched frame to skip the compiled
+        #: call entirely for plain forwarding hops (the per-entry emit
+        #: specialization), so it is cached here once per install.
+        self.fast_out: "int | None" = getattr(self.compiled, "out_port",
+                                              None)
+
+    def drop_fused(self) -> bool:
+        """Forget the chain-fusion verdict and stamp every dispatch
+        slot that resolves to this entry stale; True when a *live*
+        program (not a negative verdict) went.  Slots are stamped, not
+        just unlinked: a batch loop that hoisted a per-port slot dict
+        before the teardown ran (packet-in handler mid-batch) still
+        holds them, and not one more frame may dispatch through."""
+        slots = self.dispatch
+        if slots:
+            for slot in slots:
+                slot[0] = -1
+                slot[1] = None
+                slot[2] = None
+            del slots[:]
+        cached = self.fused
+        self.fused = None
+        return cached is not None and type(cached) is not int
 
     def invalidate(self) -> None:
         """Recompile after ``entry.actions`` was rebound.
@@ -353,15 +374,8 @@ class FlowEntry:
         from; call this if you replace ``entry.actions`` on a live
         entry (normally you should install a fresh entry instead).
         """
-        self.actions = tuple(self.actions)
-        self.compiled = compile_actions(self.actions)
-        self.fast_out = getattr(self.compiled, "out_port", None)
-        self.fused = None
-        for slot in self.dispatch:
-            slot[0] = -1
-            slot[1] = None
-            slot[2] = None
-        del self.dispatch[:]
+        self._compile()
+        self.drop_fused()
 
     def __getstate__(self):
         # The compiled closure is not picklable; drop it and recompile
@@ -378,10 +392,7 @@ class FlowEntry:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self.compiled = compile_actions(self.actions)
-        self.fast_out = getattr(self.compiled, "out_port", None)
-        self.fused = None
-        self.dispatch = []
+        self._compile()
 
     def describe(self) -> str:
         acts = ",".join(str(a) for a in self.actions) or "drop"
@@ -639,16 +650,18 @@ class FlowTable:
         traffic slice, or ``None`` when the slice's winner depends on
         frame contents (or the slice misses entirely).
 
-        This is the dispatch-fusion analogue of the per-chain
-        ``_resolve_next`` check (:mod:`repro.switch.fusion`), applied
-        at the *ingress* table: walk the priority order once and stop
-        at the first entry whose port/VLAN constraints admit the slice.
-        If that entry matches on port and VLAN alone
-        (``FlowMatch._port_vlan_only``) it wins every lookup any frame
-        of the slice could run; if it also matches frame fields, some
-        frames may fall through it to a different entry, so the slice
-        cannot be dispatched.  ``vlan`` is the frame's tag state
-        (``eth.vlan``): a concrete vid or ``None`` for untagged.
+        Chain fusion asks this of the ingress table (per dispatch
+        slot) and of every downstream table (per traced hop): walk the
+        priority order once and stop at the first entry whose port/VLAN
+        constraints admit the slice.  If that entry matches on port
+        and VLAN alone (``FlowMatch._port_vlan_only``) it wins every
+        lookup any frame of the slice could run; if it also matches
+        frame fields, some frames may fall through it to a different
+        entry, so the slice has no single winner.  ``vlan`` is the
+        slice's tag state: a concrete vid, ``None`` for untagged, or
+        :data:`UNKNOWN_VLAN` (a traced branch that is tagged with an
+        id the trace cannot know) — which makes any comparison with a
+        concrete match undecidable, hence ``None``.
         """
         for entry in self._entries:
             match = entry.match
@@ -658,6 +671,8 @@ class FlowTable:
             want_vid = match.vlan_vid
             if want_vid is not None:
                 if want_vid >= 0:
+                    if vlan == UNKNOWN_VLAN:
+                        return None
                     if vlan != want_vid:
                         continue
                 elif want_vid == NO_VLAN:

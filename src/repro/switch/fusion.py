@@ -20,30 +20,26 @@ applies the *composed* header rewrite once per frame, and settles
 every per-hop counter (flow packets/bytes, table lookups/matches,
 port rx/tx, link ``carried``, datapath rx) arithmetically at flush.
 
-Fuseability.  A hop fuses when its winning entry's actions are VLAN /
-MAC transforms followed by exactly one concrete ``Output``, and the
-*next* hop's winner is frame-independent: the first entry of the far
-table compatible with ``(in_port, vlan-state)`` must match on those
-two fields alone (``FlowMatch._port_vlan_only``) and must be the same
-entry for every alive VLAN branch.  A chain may also *end* in a
-``SelectOutput`` replica spread over device-backed ports: the trace
-then lowers into a :class:`FusedSelectChain`, which settles the
-prefix hops arithmetically and runs the per-frame replica pick — the
-same ``rendezvous_select`` / :class:`~repro.switch.state.FlowStateTable`
-pin lookup the compiled shapes use, constants hoisted at trace time —
-inside the fused program instead of bailing to the interpreter.
-Anything else — FLOOD, drops, punts, taps on a datapath,
-``carry_parsed=False`` links, interpreted mode, table misses, cycles —
-bails the trace, and the entry simply stays on the per-hop batch path
-(which remains the differential oracle for every fused program).
+Fuseability.  The trace runs every hop's action list through the
+lowering the per-hop programs are compiled from
+(:func:`~repro.switch.actions.lower_actions`).  A hop fuses when its
+winning entry lowers to *one* segment with *one* sink — a composed
+VLAN/MAC rewrite, then a concrete ``Output`` — that no alive VLAN
+branch cuts short with an action error, and the *next* hop's winner
+is frame-independent: the first entry of the far table compatible
+with ``(in_port, vlan-state)`` must match on those two fields alone
+(``FlowMatch._port_vlan_only``) and be the same entry for every alive
+VLAN branch.  A chain may also *end* in a ``SelectOutput`` spread over
+device-backed ports (:class:`FusedSelectChain`).  Anything else —
+several emission points, an action error on some branch, FLOOD,
+drops, punts, out-of-range rewrite constants, taps, table misses,
+cycles — bails the trace, and the entry stays on the per-hop batch
+path (the differential oracle for every fused program).
 
-Terminal delivery is a *byte splice*: the composed header rewrite of
-the whole chain is precomputed at trace time into a field-merge
-closure that builds each egress :class:`EthernetFrame` directly
-(``__new__`` + dict splice), skipping both the per-hop
-``replace``/``__post_init__`` validation chain and the terminal
-``ParsedFrame.derive`` entirely — the rewrite constants were
-validated once, when the splice was compiled.
+Terminal delivery is a *byte splice*: the per-hop rewrites compose
+into one field dict for the whole chain, applied once per frame
+through the same :func:`~repro.switch.actions.compile_splice` closure
+per-hop programs use, skipping ``ParsedFrame.derive`` entirely.
 
 Dispatch.  On top of per-entry programs, the engine keeps a per-port
 **dispatch table**: ``in_port -> {vlan-state -> slot}`` where a slot
@@ -85,21 +81,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.addresses import MacAddress
 from repro.net.builder import ParsedFrame, parse_frame
-from repro.net.ethernet import EthernetFrame
 from repro.switch.actions import (
     FLOOD_PORT,
     Output,
-    PopVlan,
-    PushVlan,
     SelectOutput,
-    SetField,
-    flow_hash,
-    hoisted_select,
-    rendezvous_select,
+    compile_select,
+    compile_splice,
+    lower_actions,
+    splice_fields_valid,
 )
-from repro.switch.flowtable import ANY_VLAN, NO_VLAN, FlowEntry, FlowTable
+from repro.switch.flowtable import (
+    ANY_VLAN,
+    NO_VLAN,
+    UNKNOWN_VLAN,
+    FlowEntry,
+    FlowTable,
+)
 
 __all__ = ["FusedChain", "FusedSelectChain", "FusionEngine",
            "MAX_CHAIN_DEPTH"]
@@ -111,11 +109,6 @@ MAX_CHAIN_DEPTH = 32
 #: Wire-length delta of gaining/losing an 802.1Q tag.
 _TAG_BYTES = 4
 
-#: VLAN id of a tagged branch whose concrete id is not statically known
-#: (wildcard/ANY_VLAN ingress match).  Distinct from every real id and
-#: from ``None`` (untagged).
-_UNKNOWN = object()
-
 
 class _Hop:
     """One traversed hop of a fused chain: identities to re-validate
@@ -125,48 +118,52 @@ class _Hop:
     frame) of frames *arriving* at this hop, per branch (initially-
     tagged / initially-untagged); ``out_dt``/``out_du`` after this
     hop's transforms.  ``link``/``far_port``/``far_dp`` are ``None``
-    on the terminal hop.
+    on the terminal hop; a select tail
+    (:attr:`FusedSelectChain.tail`) has no single egress, so its
+    ``out_no``/``out_port`` are ``None`` too.
     """
 
     __slots__ = ("dp", "table", "version", "entry", "compiled",
                  "in_dt", "in_du", "out_no", "out_port",
                  "out_dt", "out_du", "link", "far_port", "far_dp")
 
+    def __init__(self, dp, entry: FlowEntry, in_dt: int, in_du: int,
+                 out_dt: int, out_du: int, out_no: Optional[int] = None,
+                 out_port=None) -> None:
+        self.dp = dp
+        self.table = dp.table
+        self.version = dp.table.version
+        self.entry = entry
+        self.compiled = entry.compiled
+        self.in_dt, self.in_du = in_dt, in_du
+        self.out_dt, self.out_du = out_dt, out_du
+        self.out_no = out_no
+        self.out_port = out_port
+        self.link = None
+        self.far_port = None
+        self.far_dp = None
 
-def _compile_splice(kwargs: dict):
-    """The byte-splice closure for one composed rewrite, or ``None``.
+    def stale(self) -> bool:
+        """Whether this hop's lookup verdict can no longer be trusted:
+        its table moved on, its entry was recompiled, or a tap now
+        wants to see every frame here."""
+        return (self.table.version != self.version
+                or self.entry.compiled is not self.compiled
+                or bool(self.dp.taps))
 
-    ``replace(eth, **kwargs)`` runs the dataclass constructor — and
-    its ``__post_init__`` range checks — once per frame.  The fused
-    terminal already validated the rewrite constants at trace time
-    (:func:`_splice_fields_valid`), so the splice builds the egress
-    frame structurally: allocate with ``__new__`` and merge the field
-    dict.  One dict splice per frame, no validation re-run.
-    """
-    if not kwargs:
-        return None
-    fields = dict(kwargs)
-
-    def splice(eth: EthernetFrame, _new=EthernetFrame.__new__,
-               _cls=EthernetFrame, _fields=fields) -> EthernetFrame:
-        out = _new(_cls)
-        out.__dict__ = {**eth.__dict__, **_fields}
-        return out
-    return splice
-
-
-def _splice_fields_valid(kwargs: dict) -> bool:
-    """Whether the composed rewrite passes the ``EthernetFrame``
-    constructor checks for every frame.  A constant the constructor
-    would reject must keep the chain on the per-hop path, where the
-    per-frame ``replace`` raises exactly as it always did."""
-    vlan = kwargs.get("vlan")
-    if vlan is not None and not 0 <= vlan <= 0xFFF:
-        return False
-    pcp = kwargs.get("vlan_pcp")
-    if pcp is not None and not 0 <= pcp <= 7:
-        return False
-    return True
+    def arrive(self, n: int, nbytes: int) -> None:
+        """Arrival bookkeeping the per-hop path would do in
+        ``process_batch_from`` for ``n`` frames of ``nbytes`` total
+        wire length *as they arrive here*: datapath rx, one
+        lookup+match per frame, the flow counters.  (The port rx is
+        settled by the upstream hop's link segment.)"""
+        self.dp.rx_packets += n
+        table = self.table
+        table.lookups += n
+        table.matches += n
+        entry = self.entry
+        entry.packets += n
+        entry.bytes += nbytes
 
 
 class FusedChain:
@@ -182,46 +179,35 @@ class FusedChain:
         #: identity chains, where frames forward untouched.  Applied
         #: once per frame at the terminal through :attr:`splice`.
         self.kwargs = kwargs
-        self.splice = _compile_splice(kwargs)
+        self.splice = compile_splice(kwargs)
         self.two_branch = two_branch
         self.ingress_entry = hops[0].entry
         self.device = hops[-1].out_port.device
+
+    def _hops_valid(self) -> bool:
+        for hop in self.hops:
+            if (hop.stale()
+                    or hop.dp.ports.get(hop.out_no) is not hop.out_port
+                    or hop.out_port.peer_link is not hop.link):
+                return False
+            if hop.link is not None \
+                    and hop.far_port.datapath is not hop.far_dp:
+                return False
+        return True
 
     def valid(self) -> bool:
         """Cheap staleness check, run per group immediately before
         :meth:`run`: every traversed table is at its traced version and
         every identity the trace relied on still holds."""
-        for hop in self.hops:
-            dp = hop.dp
-            if (hop.table.version != hop.version
-                    or hop.entry.compiled is not hop.compiled
-                    or dp.taps or not dp.compiled_actions
-                    or dp.ports.get(hop.out_no) is not hop.out_port
-                    or hop.out_port.peer_link is not hop.link):
-                return False
-            link = hop.link
-            if link is not None and (
-                    not link.carry_parsed
-                    or hop.far_port.datapath is not hop.far_dp):
-                return False
-        return self.hops[-1].out_port.device is self.device
+        return (self._hops_valid()
+                and self.hops[-1].out_port.device is self.device)
 
-    def run(self, frames: list, nbytes: int) -> None:
-        """Run the whole chain for one batch group: settle every
-        per-hop counter arithmetically, then deliver at the terminal.
-
-        ``frames`` all matched the ingress entry (whose own flow/rx
-        counters the ingress loop accounted, exactly as on the per-hop
-        path); everything downstream of the ingress lookup is settled
-        here.  Per-flow egress order is preserved — frames of one
-        ingress entry leave the terminal port in arrival order.
-
-        A group may mix :class:`ParsedFrame` views (lookup-path or
-        carried arrivals) with *raw* ``EthernetFrame`` objects (the
-        dispatch fast path parks frames unparsed — a plain fused chain
-        never needs anything past L2, so the parse is skipped, not
-        deferred).
-        """
+    def _settle(self, frames: list, nbytes: int) -> tuple:
+        """Settle every counter downstream of the ingress lookup for
+        one batch group (the ingress entry's own flow/rx counters were
+        accounted by the ingress loop, as on the per-hop path);
+        returns ``(n, tagged, untagged)`` frame counts — ``untagged``
+        only counted when the branches' wire lengths diverge."""
         n = len(frames)
         nu = 0
         if self.two_branch:
@@ -236,18 +222,7 @@ class FusedChain:
             if first:
                 first = False
             else:
-                # Downstream hop bookkeeping the per-hop path would do
-                # in process_batch_from: datapath + port rx (the port rx
-                # was settled by the previous hop's link segment below),
-                # one lookup+match per frame, and the flow counters with
-                # the frames' wire length *as they arrived here*.
-                hop.dp.rx_packets += n
-                table = hop.table
-                table.lookups += n
-                table.matches += n
-                entry = hop.entry
-                entry.packets += n
-                entry.bytes += nbytes + nt * hop.in_dt + nu * hop.in_du
+                hop.arrive(n, nbytes + nt * hop.in_dt + nu * hop.in_du)
             out_bytes = nbytes + nt * hop.out_dt + nu * hop.out_du
             port = hop.out_port
             port.tx_packets += n
@@ -258,7 +233,26 @@ class FusedChain:
                 far = hop.far_port
                 far.rx_packets += n
                 far.rx_bytes += out_bytes
-        device = self.device
+        return n, nt, nu
+
+    def run(self, frames: list, nbytes: int) -> None:
+        """Run the whole chain for one batch group: settle every
+        per-hop counter, then deliver at the terminal.  Per-flow egress
+        order is preserved — frames of one ingress entry leave the
+        terminal port in arrival order.
+
+        A group may mix :class:`ParsedFrame` views (lookup-path or
+        carried arrivals) with *raw* ``EthernetFrame`` objects (the
+        dispatch fast path parks frames unparsed — a plain fused chain
+        never needs anything past L2, so the parse is skipped, not
+        deferred).
+        """
+        self._settle(frames, nbytes)
+        self._deliver(self.device, frames)
+
+    def _deliver(self, device, frames: list) -> None:
+        """Terminal egress of one group: the frames, through the
+        chain's composed splice, in one ``transmit_batch``."""
         if device is None:
             # Counting sink: counters are settled, nothing materializes.
             return
@@ -274,15 +268,15 @@ class FusedChain:
                 for parsed in frames])
 
 
-class FusedSelectChain:
+class FusedSelectChain(FusedChain):
     """A fused chain ending in a ``SelectOutput`` replica spread.
 
-    The prefix hops settle exactly like a :class:`FusedChain`; the
-    tail hop then runs the per-frame replica pick *inside* the fused
-    program: ``rendezvous_select`` over trace-hoisted seeds for
-    stateless spreads, the datapath's
-    :class:`~repro.switch.state.FlowStateTable` ``steer`` (pin /
-    remap / adopt, identical counter evolution) for stateful ones —
+    The prefix hops validate and settle exactly like a
+    :class:`FusedChain`; the tail hop then runs the per-frame replica
+    pick *inside* the fused program — the
+    :func:`~repro.switch.actions.compile_select` picker per-hop
+    programs use (rendezvous, or the datapath's
+    :class:`~repro.switch.state.FlowStateTable` pin / remap / adopt) —
     in frame arrival order, so state-table side effects match the
     per-hop path bit for bit.  Frames bucket per chosen replica and
     leave through the terminal byte splice.
@@ -296,57 +290,30 @@ class FusedSelectChain:
     by the tail's table-version stamp.
     """
 
-    __slots__ = ("hops", "kwargs", "splice", "two_branch",
-                 "ingress_entry", "dp", "table", "version", "entry",
-                 "compiled", "in_dt", "in_du", "out_dt", "out_du",
-                 "ports", "seeds", "port_set", "group", "state",
-                 "replicas")
+    __slots__ = ("tail", "pick", "group", "state", "replicas")
 
     def __init__(self, hops: list[_Hop], kwargs: dict, two_branch: bool,
-                 tail_dp, tail_entry: FlowEntry, in_dt: int, in_du: int,
-                 out_dt: int, out_du: int, select: SelectOutput,
-                 state, replicas: dict) -> None:
-        self.hops = tuple(hops)
-        self.kwargs = kwargs
-        self.splice = _compile_splice(kwargs)
-        self.two_branch = two_branch
-        self.ingress_entry = hops[0].entry
-        self.dp = tail_dp
-        self.table = tail_dp.table
-        self.version = tail_dp.table.version
-        self.entry = tail_entry
-        self.compiled = tail_entry.compiled
-        self.in_dt, self.in_du = in_dt, in_du
-        self.out_dt, self.out_du = out_dt, out_du
-        self.ports, self.seeds, self.port_set, self.group = \
-            hoisted_select(select)
+                 tail: _Hop, select: SelectOutput, replicas: dict) -> None:
+        super().__init__(hops, kwargs, two_branch)
+        #: The select hop: arrival bookkeeping and staleness stamps
+        #: like any hop, but no single egress port.
+        self.tail = tail
+        self.pick = compile_select(select)
+        self.group = select.group
         #: The state table resolved at trace time (``group`` spreads);
         #: identity is re-checked in :meth:`valid` so a dropped-and-
         #: recreated group (graph teardown) can never run against the
         #: stale table object.
-        self.state = state
+        self.state = (tail.dp.flow_state.table(select.group)
+                      if select.group is not None else None)
         #: ``out_no -> (SwitchPort, device)`` for every replica.
         self.replicas = replicas
 
     def valid(self) -> bool:
-        for hop in self.hops:
-            dp = hop.dp
-            if (hop.table.version != hop.version
-                    or hop.entry.compiled is not hop.compiled
-                    or dp.taps or not dp.compiled_actions
-                    or dp.ports.get(hop.out_no) is not hop.out_port
-                    or hop.out_port.peer_link is not hop.link):
-                return False
-            link = hop.link
-            if link is not None and (
-                    not link.carry_parsed
-                    or hop.far_port.datapath is not hop.far_dp):
-                return False
-        dp = self.dp
-        if (self.table.version != self.version
-                or self.entry.compiled is not self.compiled
-                or dp.taps or not dp.compiled_actions):
+        tail = self.tail
+        if not self._hops_valid() or tail.stale():
             return False
+        dp = tail.dp
         if self.group is not None and \
                 dp.flow_state.peek(self.group) is not self.state:
             return False
@@ -365,105 +332,48 @@ class FusedSelectChain:
         # per-hop path pays at ingress).
         frames = [parsed if parsed.__class__ is ParsedFrame
                   else parse_frame(parsed) for parsed in frames]
-        n = len(frames)
-        nu = 0
-        two_branch = self.two_branch
-        if two_branch:
-            for parsed in frames:
-                if parsed.eth.vlan is None:
-                    nu += 1
-        nt = n - nu
-        first = True
-        for hop in self.hops:
-            if first:
-                first = False
-            else:
-                hop.dp.rx_packets += n
-                table = hop.table
-                table.lookups += n
-                table.matches += n
-                entry = hop.entry
-                entry.packets += n
-                entry.bytes += nbytes + nt * hop.in_dt + nu * hop.in_du
-            out_bytes = nbytes + nt * hop.out_dt + nu * hop.out_du
-            port = hop.out_port
-            port.tx_packets += n
-            port.tx_bytes += out_bytes
-            link = hop.link
-            if link is not None:
-                link.carried += n
-                far = hop.far_port
-                far.rx_packets += n
-                far.rx_bytes += out_bytes
-        # Tail-hop arrival bookkeeping (the prefix's last link segment
-        # settled the far port's rx above).
-        self.dp.rx_packets += n
-        table = self.table
-        table.lookups += n
-        table.matches += n
-        entry = self.entry
-        entry.packets += n
-        entry.bytes += nbytes + nt * self.in_dt + nu * self.in_du
+        n, nt, nu = self._settle(frames, nbytes)
+        tail = self.tail
+        tail.arrive(n, nbytes + nt * tail.in_dt + nu * tail.in_du)
         # Per-frame replica pick, in arrival order; buckets keep
         # insertion order, so per-replica egress order matches the
         # per-hop queues exactly.
-        ports = self.ports
-        seeds = self.seeds
-        state = self.state
-        out_dt = self.out_dt
-        out_du = self.out_du
+        pick = self.pick
+        dp = tail.dp
+        out_dt = tail.out_dt
+        out_du = tail.out_du  # == out_dt unless the branches diverge
         buckets: dict = {}
-        if state is None:
-            for parsed in frames:
-                out = rendezvous_select(ports, flow_hash(parsed), seeds)
-                size = parsed.wire_len + (
-                    out_dt if not two_branch or parsed.eth.vlan is not None
-                    else out_du)
-                acc = buckets.get(out)
-                if acc is None:
-                    buckets[out] = [[parsed], size]
-                else:
-                    acc[0].append(parsed)
-                    acc[1] += size
-        else:
-            port_set = self.port_set
-            for parsed in frames:
-                out = state.steer(parsed, ports, port_set, seeds)
-                size = parsed.wire_len + (
-                    out_dt if not two_branch or parsed.eth.vlan is not None
-                    else out_du)
-                acc = buckets.get(out)
-                if acc is None:
-                    buckets[out] = [[parsed], size]
-                else:
-                    acc[0].append(parsed)
-                    acc[1] += size
-        splice = self.splice
+        for parsed in frames:
+            out = pick(dp, parsed)
+            size = parsed.wire_len + (
+                out_du if parsed.eth.vlan is None else out_dt)
+            acc = buckets.get(out)
+            if acc is None:
+                buckets[out] = [[parsed], size]
+            else:
+                acc[0].append(parsed)
+                acc[1] += size
         replicas = self.replicas
         for out, (bucket, bucket_bytes) in buckets.items():
             port, device = replicas[out]
             port.tx_packets += len(bucket)
             port.tx_bytes += bucket_bytes
-            if device is None:  # counting sink
-                continue
-            if splice is None:
-                device.transmit_batch([parsed.eth for parsed in bucket])
-            else:
-                device.transmit_batch([splice(parsed.eth)
-                                       for parsed in bucket])
+            self._deliver(device, bucket)
 
 
 def _ingress_branches(vlan_vid: Optional[int]) -> list[list]:
     """Symbolic VLAN state(s) admitted by the ingress match.
 
-    Branch = ``[tagged, vid, delta]``; when two branches exist the
-    first is always the initially-tagged one (run-time classification
-    keys on ``eth.vlan is None``).
+    Branch = ``[tagged, vid, delta]`` (``vid`` is ``None`` when
+    untagged, :data:`UNKNOWN_VLAN` when a wildcard/ANY_VLAN ingress
+    match leaves the id open); when two branches exist the first is
+    always the initially-tagged one (run-time classification keys on
+    ``eth.vlan is None``).
     """
     if vlan_vid is None:
-        return [[True, _UNKNOWN, 0], [False, None, 0]]
+        return [[True, UNKNOWN_VLAN, 0], [False, None, 0]]
     if vlan_vid == ANY_VLAN:
-        return [[True, _UNKNOWN, 0]]
+        return [[True, UNKNOWN_VLAN, 0]]
     if vlan_vid == NO_VLAN:
         return [[False, None, 0]]
     return [[True, vlan_vid, 0]]
@@ -471,57 +381,18 @@ def _ingress_branches(vlan_vid: Optional[int]) -> list[list]:
 
 def _resolve_next(table: FlowTable, in_port: int,
                   branches: list[list]) -> Optional[FlowEntry]:
-    """The unique frame-independent winner of the far table's lookup.
-
-    Walks the priority-sorted entries once; an entry is the winner for
-    a branch when it is the first one compatible with ``(in_port,
-    vlan-state)``.  Any compatible candidate that also matches frame
-    fields (not ``_port_vlan_only``), an undecidable comparison
-    (unknown tagged vid vs a concrete match), a branch with no winner
-    (table miss), or branches disagreeing on the winner → ``None``.
+    """The unique frame-independent winner of the far table's lookup:
+    every alive branch's :meth:`FlowTable.slice_winner`, when they all
+    exist and agree.  A frame-dependent candidate, an undecidable
+    comparison (unknown tagged vid vs a concrete match), a table miss
+    on some branch, or branches disagreeing on the winner → ``None``.
     """
-    winners: list = [None] * len(branches)
-    unassigned = len(branches)
-    for entry in table:
-        match = entry.match
-        want_port = match.in_port
-        if want_port is not None and want_port != in_port:
-            continue
-        want_vid = match.vlan_vid
-        pending = []
-        for index, branch in enumerate(branches):
-            if winners[index] is not None:
-                continue
-            tagged, vid = branch[0], branch[1]
-            if want_vid is None:
-                ok = True
-            elif want_vid == NO_VLAN:
-                ok = not tagged
-            elif want_vid == ANY_VLAN:
-                ok = tagged
-            elif not tagged:
-                ok = False
-            elif vid is _UNKNOWN:
-                return None
-            else:
-                ok = vid == want_vid
-            if ok:
-                pending.append(index)
-        if not pending:
-            continue
-        if not match._port_vlan_only:
+    first = None
+    for branch in branches:
+        winner = table.slice_winner(in_port, branch[1])
+        if winner is None or (first is not None and winner is not first):
             return None
-        for index in pending:
-            winners[index] = entry
-        unassigned -= len(pending)
-        if not unassigned:
-            break
-    if unassigned:
-        return None
-    first = winners[0]
-    for winner in winners:
-        if winner is not first:
-            return None
+        first = winner
     return first
 
 
@@ -536,21 +407,16 @@ class FusionEngine:
     one attribute read and an int compare.
     """
 
-    __slots__ = ("dp", "enabled", "dispatch_enabled", "epoch",
-                 "dispatch", "hits", "misses", "dispatch_hits",
-                 "dispatch_misses", "invalidations", "programs_built",
-                 "track_cookies", "cookie_stats")
+    __slots__ = ("dp", "enabled", "epoch", "dispatch", "hits", "misses",
+                 "dispatch_hits", "dispatch_misses", "invalidations",
+                 "programs_built", "track_cookies", "cookie_stats")
 
     def __init__(self, dp) -> None:
         self.dp = dp
-        #: Production default is on; the perf sweep's per-hop leg and
-        #: the differential suites flip it per instance.
+        #: Production default is on.  ``False`` pins the datapath to
+        #: the per-hop batch path — the differential suites' and
+        #: nfbench's reference switch, and the only fusion mode knob.
         self.enabled = True
-        #: Per-port dispatch over fused programs (see module
-        #: docstring).  Separately togglable so the perf sweep can
-        #: time plain fusion against dispatch fusion; production runs
-        #: with both on.
-        self.dispatch_enabled = True
         self.epoch = 1
         #: ``in_port -> {vlan-state -> [version, entry, program]}``
         #: dispatch slots.  ``vlan-state`` is the frame's tag state
@@ -602,6 +468,30 @@ class FusionEngine:
         return {"hits": totals[0], "misses": totals[1],
                 "dispatch-hits": totals[2], "dispatch-misses": totals[3]}
 
+    def drop(self, entries) -> int:
+        """Tear down the fused verdicts (and dispatch slots) of
+        ``entries``; returns how many *live* programs went.
+
+        The one teardown path: proactive (:meth:`invalidate`) and
+        reactive (a flush-time ``valid()`` failure in
+        ``Datapath._finish_batch``) drops both count in
+        :attr:`invalidations` and feed the tracer's invalidation-storm
+        detector.  Negative verdicts and deploy-time invalidates with
+        nothing cached count as neither — no live work was lost.
+        """
+        dropped = 0
+        for entry in entries:
+            # Untraced entries hold neither verdict nor slots: skip the
+            # call — a steering invalidate walks every table of the node.
+            if entry.fused is not None and entry.drop_fused():
+                dropped += 1
+        if dropped:
+            self.invalidations += dropped
+            tracer = self.dp.tracer
+            if tracer is not None:
+                tracer.note_invalidation(self.dp.name, dropped)
+        return dropped
+
     def invalidate(self) -> int:
         """Drop every cached program/verdict traced from this LSI's
         entries, and the whole dispatch table with them; returns how
@@ -610,33 +500,7 @@ class FusionEngine:
         rule set."""
         self.epoch += 1
         self.dispatch.clear()
-        dropped = 0
-        for entry in self.dp.table:
-            slots = entry.dispatch
-            if slots:
-                # A batch loop that hoisted a per-port slot dict before
-                # this invalidation ran (packet-in handler mid-batch)
-                # still holds these slots; stamp them stale so not one
-                # more frame dispatches through them.
-                for slot in slots:
-                    slot[0] = -1
-                    slot[1] = None
-                    slot[2] = None
-                del slots[:]
-            cached = entry.fused
-            if cached is not None:
-                if type(cached) is not int:
-                    dropped += 1
-                entry.fused = None
-        self.invalidations += dropped
-        if dropped:
-            tracer = self.dp.tracer
-            if tracer is not None:
-                # Live programs were torn down: feed the invalidation-
-                # storm detector (deploy-time invalidates with nothing
-                # cached don't count — no live work was lost).
-                tracer.note_invalidation(self.dp.name, dropped)
-        return dropped
+        return self.drop(self.dp.table)
 
     def build_slot(self, port_dispatch: dict, in_port: int,
                    vlan: Optional[int]) -> list:
@@ -647,17 +511,16 @@ class FusionEngine:
         independent winner, traces it if needed, and installs a
         ``[version, entry, program]`` slot — positive only when the
         winner exists *and* fused, negative otherwise.  Positive slots
-        register on ``entry.dispatch`` so reactive teardown reaches
-        them without scanning the table.
+        register on ``entry.dispatch`` so teardown reaches them
+        without scanning the table.
         """
         table = self.dp.table
         slot = [table.version, None, None]
         entry = table.slice_winner(in_port, vlan)
         if entry is not None:
             program = entry.fused
-            if type(program) is int:
-                program = None if program != self.epoch else program
-            if program is None:
+            if program is None or (type(program) is int
+                                   and program != self.epoch):
                 program = self.trace(entry)
             if type(program) is not int:
                 slot[1] = entry
@@ -692,102 +555,49 @@ class FusionEngine:
             if key in seen:  # cycle
                 return None
             seen.add(key)
-            if dp.taps or not dp.compiled_actions:
+            if dp.taps:
                 return None
-            actions = entry.actions
-            if not actions:  # drop rule
+            segments, cut_tagged, cut_untagged = \
+                lower_actions(entry.actions)
+            if len(segments) != 1 or len(segments[0][1]) != 1:
+                return None  # drop rule, or several emission points
+            fields, (sink,) = segments[0]
+            if not splice_fields_valid(fields):
+                # The frame constructor would reject the rewrite; the
+                # per-hop path must keep raising per frame.
                 return None
-            last = actions[-1]
-            tail_select: Optional[SelectOutput] = None
-            kind = type(last)
-            if kind is Output:
-                out_no = last.port
-            elif kind is SelectOutput:
-                if len(last.ports) == 1:
-                    # Degenerate spread: the compiled form is a plain
-                    # output (run_select_one), treat it the same here.
-                    out_no = last.ports[0]
-                elif hops:
-                    tail_select = last
-                    out_no = None
-                else:
+            for branch in branches:
+                if (cut_tagged if branch[0] else cut_untagged) is not None:
+                    return None  # an action error on this branch
+            if "vlan" in fields:
+                vid = fields["vlan"]
+                tagged = vid is not None
+                for branch in branches:
+                    if branch[0] != tagged:
+                        branch[2] += _TAG_BYTES if tagged else -_TAG_BYTES
+                    branch[0] = tagged
+                    branch[1] = vid
+            kwargs.update(fields)
+            out_dt, out_du = branches[0][2], branches[-1][2]
+            if type(sink) is SelectOutput:
+                if not hops:
                     # A spread at the chain ingress is a single-hop
                     # "chain" — already optimal per-hop.
                     return None
-            else:
+                return self._finish_select(
+                    hops, kwargs,
+                    _Hop(dp, entry, in_dt, in_du, out_dt, out_du), sink)
+            if type(sink) is not Output or sink.port == FLOOD_PORT:
+                return None  # punt / flood
+            port = dp.ports.get(sink.port)
+            if port is None:
                 return None
-            if tail_select is None:
-                if out_no == FLOOD_PORT:
-                    return None
-                port = dp.ports.get(out_no)
-                if port is None:
-                    return None
-            for action in actions[:-1]:
-                kind = type(action)
-                if kind is PushVlan:
-                    if not 0 <= action.pcp <= 7:
-                        # The frame constructor would reject it; the
-                        # per-hop path must keep raising per frame.
-                        return None
-                    for branch in branches:
-                        if not branch[0]:
-                            branch[2] += _TAG_BYTES
-                        branch[0] = True
-                        branch[1] = action.vid
-                    kwargs["vlan"] = action.vid
-                    kwargs["vlan_pcp"] = action.pcp
-                elif kind is PopVlan:
-                    for branch in branches:
-                        if not branch[0]:  # would be an action error
-                            return None
-                        branch[2] -= _TAG_BYTES
-                        branch[0] = False
-                        branch[1] = None
-                    kwargs["vlan"] = None
-                    kwargs["vlan_pcp"] = 0
-                elif kind is SetField:
-                    field = action.field
-                    if field == "vlan_vid":
-                        vid = int(action.value)
-                        if not 0 <= vid <= 0xFFF:
-                            # Out-of-range retag: the per-frame replace
-                            # raises in the constructor; stay per-hop.
-                            return None
-                        for branch in branches:
-                            if not branch[0]:
-                                return None
-                            branch[1] = vid
-                        kwargs["vlan"] = vid
-                    elif field == "eth_src":
-                        kwargs["src"] = MacAddress(action.value)
-                    else:
-                        kwargs["dst"] = MacAddress(action.value)
-                else:  # Controller / SelectOutput / extra Output
-                    return None
-            if tail_select is not None:
-                return self._finish_select(dp, entry, tail_select,
-                                           branches, in_dt, in_du,
-                                           hops, kwargs)
-            hop = _Hop()
-            hop.dp = dp
-            hop.table = dp.table
-            hop.version = dp.table.version
-            hop.entry = entry
-            hop.compiled = entry.compiled
-            hop.in_dt, hop.in_du = in_dt, in_du
-            hop.out_no = out_no
-            hop.out_port = port
-            hop.out_dt = branches[0][2]
-            hop.out_du = branches[-1][2]
-            hop.link = None
-            hop.far_port = None
-            hop.far_dp = None
+            hop = _Hop(dp, entry, in_dt, in_du, out_dt, out_du,
+                       sink.port, port)
             hops.append(hop)
             link = port.peer_link
             if link is None:
                 break  # terminal: device egress or counting sink
-            if not link.carry_parsed:
-                return None
             far = link._far(port)
             if far is None or far.datapath is None:
                 return None
@@ -798,7 +608,7 @@ class FusionEngine:
                                        branches)
             if next_entry is None:
                 return None
-            in_dt, in_du = hop.out_dt, hop.out_du
+            in_dt, in_du = out_dt, out_du
             dp = far.datapath
             entry = next_entry
         if len(hops) < 2:
@@ -806,16 +616,10 @@ class FusionEngine:
             # path (the fast_out specialization); fusing them would
             # only add bookkeeping.
             return None
-        if not _splice_fields_valid(kwargs):
-            return None
-        two_branch = any(hop.in_dt != hop.in_du or hop.out_dt != hop.out_du
-                         for hop in hops)
-        return FusedChain(hops, kwargs, two_branch)
+        return FusedChain(hops, kwargs, _two_branch(hops))
 
-    def _finish_select(self, dp, entry: FlowEntry, select: SelectOutput,
-                       branches: list[list], in_dt: int, in_du: int,
-                       hops: list[_Hop],
-                       kwargs: dict) -> Optional[FusedSelectChain]:
+    def _finish_select(self, hops: list[_Hop], kwargs: dict, tail: _Hop,
+                       select: SelectOutput) -> Optional[FusedSelectChain]:
         """Lower a select-terminated trace into a
         :class:`FusedSelectChain`, or bail (``None``) when the tail
         cannot be replicated exactly.
@@ -830,22 +634,22 @@ class FusionEngine:
         """
         if "src" in kwargs or "dst" in kwargs:
             return None
-        if not _splice_fields_valid(kwargs):
-            return None
+        ports = tail.dp.ports
         replicas: dict = {}
         for out_no in select.ports:
             if out_no == FLOOD_PORT:
                 return None
-            port = dp.ports.get(out_no)
+            port = ports.get(out_no)
             if port is None or port.peer_link is not None:
                 return None
             replicas[out_no] = (port, port.device)
-        group = select.group
-        state = dp.flow_state.table(group) if group is not None else None
-        out_dt, out_du = branches[0][2], branches[-1][2]
-        two_branch = (any(hop.in_dt != hop.in_du
-                          or hop.out_dt != hop.out_du for hop in hops)
-                      or in_dt != in_du or out_dt != out_du)
-        return FusedSelectChain(hops, kwargs, two_branch, dp, entry,
-                                in_dt, in_du, out_dt, out_du, select,
-                                state, replicas)
+        return FusedSelectChain(hops, kwargs, _two_branch(hops + [tail]),
+                                tail, select, replicas)
+
+
+def _two_branch(hops: list[_Hop]) -> bool:
+    """Whether initially-tagged and initially-untagged frames ever
+    differ in wire length along ``hops`` (so byte settlement must
+    classify frames)."""
+    return any(hop.in_dt != hop.in_du or hop.out_dt != hop.out_du
+               for hop in hops)

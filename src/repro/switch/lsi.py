@@ -3,6 +3,12 @@
 Figure 1 of the paper: LSI-0 (the base LSI) owns the node's physical
 ports and classifies traffic into per-graph LSIs over *virtual links*;
 each graph LSI owns the ports of the NFs in that graph.
+
+Per-frame :meth:`VirtualLink.carry` feeds the far datapath's reference
+``process``; batched :meth:`VirtualLink.carry_batch` hands over the
+near side's carried :class:`ParsedFrame` views as they are.  Fused
+chains (:mod:`repro.switch.fusion`) cross links without calling
+either and settle ``carried`` arithmetically.
 """
 
 from __future__ import annotations
@@ -51,12 +57,6 @@ class VirtualLink:
         self.a: Optional[SwitchPort] = None
         self.b: Optional[SwitchPort] = None
         self.carried = 0
-        #: When False, batch carries strip the frames back to raw
-        #: :class:`EthernetFrame` objects, forcing the far LSI to
-        #: re-parse every frame — the pre-zero-reparse cost model.  The
-        #: differential test harness flips this to pin down that both
-        #: modes are observably identical; production leaves it True.
-        self.carry_parsed = True
 
     @classmethod
     def connect(cls, dp_a: Datapath, dp_b: Datapath,
@@ -122,12 +122,10 @@ class VirtualLink:
         amortization carry across every hop.  The frames are normally
         :class:`~repro.net.builder.ParsedFrame` views queued by the
         near datapath's batch flush, forwarded *as parsed* — the far
-        LSI never re-parses an untouched frame (set
-        :attr:`carry_parsed` to False to restore the old re-parse-per-
-        hop behavior).  The link's own ``carried`` counter and the
-        egress port's tx counters are likewise written once per batch,
-        not per frame (chain egress happens in the far datapath's batch
-        flush).
+        LSI never re-parses an untouched frame.  The link's own
+        ``carried`` counter and the egress port's tx counters are
+        likewise written once per batch, not per frame (chain egress
+        happens in the far datapath's batch flush).
         """
         if not frames:
             return
@@ -135,9 +133,6 @@ class VirtualLink:
         if far is None or far.datapath is None:
             return
         self.carried += len(frames)
-        if not self.carry_parsed:
-            frames = [frame.eth if type(frame) is ParsedFrame else frame
-                      for frame in frames]
         far.datapath.process_batch_from(far.port_no, frames)
 
     def far_port(self, datapath: Datapath) -> SwitchPort:

@@ -136,9 +136,9 @@ class Tracer:
     """Sampling tracer + anomaly capture shared by both planes.
 
     The dataplane hot path touches only ``batch_counter`` and
-    ``sample_every`` (inline in ``Datapath._begin_batch``); everything
-    else here runs on sampled batches or on the control plane, where a
-    few microseconds are irrelevant.
+    ``sample_every`` (inline in ``Datapath.process_batch_from``);
+    everything else here runs on sampled batches or on the control
+    plane, where a few microseconds are irrelevant.
     """
 
     def __init__(self, sample_every: int = 64,

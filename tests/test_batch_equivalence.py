@@ -1,27 +1,22 @@
-"""Differential harness: the five chain-traversal modes are identical.
+"""Differential harness: the three chain-traversal modes are identical.
 
 Hypothesis generates flow tables (random per-hop action shapes, VLAN
 matching, low-priority CIDR fallbacks) and frame batches, then runs the
-same workload through five independently-built copies of the same LSI
+same workload through three independently-built copies of the same LSI
 chain (lengths 1, 2 and 4):
 
 1. **per-frame** — :meth:`Datapath.process` for every frame, the
    reference semantics;
-2. **reparse batch** — the batched pipeline with ``carry_parsed=False``
-   on every virtual link, i.e. the old re-parse-at-every-hop cost
-   model;
-3. **per-hop zero-reparse batch** — ``ParsedFrame`` carry across the
-   links with chain fusion pinned off: the fusion fallback path, and
+2. **per-hop batch** — the batched pipeline with chain fusion pinned
+   off (``fusion.enabled = False``): the fusion fallback path, and
    the fused path's differential oracle;
-4. **fused** — chain fusion on with per-port dispatch pinned off:
+3. **production** — chain fusion plus the per-port dispatch layer:
    stable chains compiled into straight-line programs
-   (:mod:`repro.switch.fusion`) behind the normal ingress lookup,
-   with all per-hop counters settled arithmetically at flush;
-5. **dispatch-fused** — the production configuration: fusion *and*
-   the per-port dispatch layer, so eligible ``(in_port, vlan)``
-   slices skip the ingress ``FlowTable`` walk entirely.
+   (:mod:`repro.switch.fusion`) with all per-hop counters settled
+   arithmetically at flush, eligible ``(in_port, vlan)`` slices
+   skipping the ingress ``FlowTable`` walk entirely.
 
-Every observable must agree across all five: egress frames
+Every observable must agree across all three: egress frames
 byte-for-byte at every capture point, per-port rx/tx packet and byte
 counters, per-entry flow counters, table lookup/match totals, miss /
 drop / action-error counts, and controller punts.
@@ -67,6 +62,11 @@ _SHAPES = {
     "setvid_out": lambda fwd, tee, vid: (SetField("vlan_vid", vid),
                                          Output(fwd)),
     "tee_out": lambda fwd, tee, vid: (Output(tee), Output(fwd)),
+    # Emits, then errors (untagged) or rewrites (tagged), then emits:
+    # the error-after-emission point of the lowering, and a trace bail
+    # (two emission points) on both tag states.
+    "tee_pop_out": lambda fwd, tee, vid: (Output(tee), PopVlan(),
+                                          Output(fwd)),
     # Hash-LB hops: the rendezvous spread (stateless) and the stateful
     # per-flow table in front of it.  Both split the batch per flow;
     # as chain *terminals* they fuse per-replica (FusedSelectChain),
@@ -187,7 +187,7 @@ def _frames(frame_specs):
                           max_size=max(CHAIN_LENGTHS)),
        frame_specs=st.lists(frame_spec, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_five_traversal_modes_are_identical(hop_specs, frame_specs):
+def test_three_traversal_modes_are_identical(hop_specs, frame_specs):
     for length in CHAIN_LENGTHS:
         specs = hop_specs[:length]
 
@@ -195,50 +195,17 @@ def test_five_traversal_modes_are_identical(hop_specs, frame_specs):
         for frame in _frames(frame_specs):
             per_frame.hops[0].process(1, frame)
 
-        reparse = ChainInstance(length, specs)
-        for link in reparse.links:
-            link.carry_parsed = False
-        reparse.hops[0].process_batch(
-            [(1, frame) for frame in _frames(frame_specs)])
-
-        zero_reparse = ChainInstance(length, specs)
-        for hop in zero_reparse.hops:
+        per_hop = ChainInstance(length, specs)
+        for hop in per_hop.hops:
             hop.fusion.enabled = False
-        zero_reparse.hops[0].process_batch_from(1, _frames(frame_specs))
+        per_hop.hops[0].process_batch_from(1, _frames(frame_specs))
 
-        fused = ChainInstance(length, specs)
-        for hop in fused.hops:
-            hop.fusion.dispatch_enabled = False
-        fused.hops[0].process_batch_from(1, _frames(frame_specs))
-
-        dispatch = ChainInstance(length, specs)
-        dispatch.hops[0].process_batch_from(1, _frames(frame_specs))
+        production = ChainInstance(length, specs)
+        production.hops[0].process_batch_from(1, _frames(frame_specs))
 
         reference = per_frame.observe()
-        assert reparse.observe() == reference, f"chain length {length}"
-        assert zero_reparse.observe() == reference, f"chain length {length}"
-        assert fused.observe() == reference, f"chain length {length}"
-        assert dispatch.observe() == reference, f"chain length {length}"
-
-
-def test_interpreted_batch_mode_matches_too():
-    """The differential holds with compiled actions disabled (the
-    interpreted batch leg the perf sweep's baseline uses)."""
-    specs = [{"shape": "retag_out", "vid": 3, "match_vlan": "wild",
-              "match_vid": 1, "cidr": "10.0.0.0/8"}] * 4
-    frame_specs = [{"vlan": v, "sport": 1000 + i, "dst_net": 10 + i % 3,
-                    "payload": bytes([i])}
-                   for i, v in enumerate([None, 1, 2, None, 5])]
-
-    compiled = ChainInstance(4, specs)
-    compiled.hops[0].process_batch_from(1, _frames(frame_specs))
-
-    interpreted = ChainInstance(4, specs)
-    for hop in interpreted.hops:
-        hop.compiled_actions = False
-    interpreted.hops[0].process_batch_from(1, _frames(frame_specs))
-
-    assert interpreted.observe() == compiled.observe()
+        assert per_hop.observe() == reference, f"chain length {length}"
+        assert production.observe() == reference, f"chain length {length}"
 
 
 def _mid_batch_flow_mod_instance():
@@ -311,7 +278,7 @@ def test_select_output_fuses_per_replica_and_modes_agree():
     """A chain ending in a hash-LB hop fuses per-replica
     (:class:`~repro.switch.fusion.FusedSelectChain`): the per-flow —
     even stateful — replica pick runs *inside* the fused program, and
-    all five traversal modes stay identical."""
+    all three traversal modes stay identical."""
     for terminal in ("select_out", "pin_select_out"):
         specs = [{"shape": "out", "vid": 1, "match_vlan": "wild",
                   "match_vid": 1, "cidr": None},
@@ -325,23 +292,16 @@ def test_select_output_fuses_per_replica_and_modes_agree():
         for frame in _frames(frame_specs):
             per_frame.hops[0].process(1, frame)
 
-        reparse = ChainInstance(2, specs)
-        for link in reparse.links:
-            link.carry_parsed = False
-        reparse.hops[0].process_batch(
-            [(1, frame) for frame in _frames(frame_specs)])
-
-        zero_reparse = ChainInstance(2, specs)
-        for hop in zero_reparse.hops:
+        per_hop = ChainInstance(2, specs)
+        for hop in per_hop.hops:
             hop.fusion.enabled = False
-        zero_reparse.hops[0].process_batch_from(1, _frames(frame_specs))
+        per_hop.hops[0].process_batch_from(1, _frames(frame_specs))
 
         fused = ChainInstance(2, specs)
         fused.hops[0].process_batch_from(1, _frames(frame_specs))
 
         reference = per_frame.observe()
-        assert reparse.observe() == reference, terminal
-        assert zero_reparse.observe() == reference, terminal
+        assert per_hop.observe() == reference, terminal
         assert fused.observe() == reference, terminal
         # The production instance really fused the LB chain: every
         # frame went through the per-replica fused program.

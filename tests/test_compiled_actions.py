@@ -1,11 +1,11 @@
 """Compiled action pipelines ≡ the interpreted reference loop.
 
 Property-based equivalence: for random action lists (including the
-fused steering shapes, the generic opcode fallback, error cases like
-pop-on-untagged, and drop-only lists) and random frames, the closure
-from :func:`compile_actions` must produce the identical emissions,
-packet-in punts and error/drop counters as
-:meth:`Datapath.execute_interpreted`.
+steering shapes, multi-emission lists, stateless and stateful replica
+picks, error cases like pop-on-untagged, and drop-only lists) and
+random frames, the closure from :func:`compile_actions` must produce
+the identical emissions, packet-in punts, error/drop counters and
+state-table side effects as :meth:`Datapath.execute_interpreted`.
 
 Also covers the compiled-entry cache contract (compile at
 construction, :meth:`FlowEntry.invalidate` after rebinding) and the
@@ -26,6 +26,7 @@ from repro.switch import (
     Output,
     PopVlan,
     PushVlan,
+    SelectOutput,
     SetField,
 )
 from repro.switch.actions import compile_actions
@@ -36,7 +37,9 @@ MAC_B = MacAddress("02:00:00:00:00:02")
 MACS = ["02:00:00:00:00:0a", "02:00:00:00:00:0b"]
 
 action_strategy = st.one_of(
-    st.sampled_from([Output(2), Output(3), Controller(), PopVlan()]),
+    st.sampled_from([Output(2), Output(3), Controller(), PopVlan(),
+                     SelectOutput((2, 3)),
+                     SelectOutput((2, 3), group="g")]),
     st.builds(PushVlan, vid=st.integers(min_value=1, max_value=5)),
     st.builds(SetField, field=st.sampled_from(["eth_src", "eth_dst"]),
               value=st.sampled_from(MACS)),
@@ -70,7 +73,8 @@ def run_actions(actions, frames, compiled):
             entry.compiled(dp, 7, frame, emit)
         else:
             dp.execute_interpreted(entry.actions, 7, frame, emit)
-    return emissions, punts, dp.dropped, dp.action_errors
+    return (emissions, punts, dp.dropped, dp.action_errors,
+            dp.flow_state.stats())
 
 
 @given(actions=st.lists(action_strategy, min_size=0, max_size=5),
@@ -82,7 +86,7 @@ def test_compiled_equals_interpreted(actions, frames):
 
 
 def test_empty_action_list_drops():
-    emissions, punts, dropped, errors = run_actions(
+    emissions, punts, dropped, errors, _state = run_actions(
         (), [make_udp_frame(MAC_A, MAC_B, "10.0.0.1", "10.0.0.2",
                             1000, 2000, b"x")], compiled=True)
     assert emissions == [] and punts == []

@@ -20,7 +20,7 @@ from repro.nffg.replicas import expand_replicas, replica_base
 from repro.resources.capabilities import NodeCapabilities
 from repro.sim.engine import Simulator
 from repro.switch import Datapath, FlowEntry, FlowMatch, Output, PushVlan, \
-    SelectOutput, flow_hash
+    flow_hash
 from repro.telemetry import Autoscaler, ControlLoop, ScalingPolicy
 from repro.net.builder import parse_frame
 
@@ -169,30 +169,6 @@ def test_lb_chain_is_byte_for_byte_identical_to_single_replica():
     baseline = sorted(b for frames in cap_single.values() for b in frames)
     assert len(baseline) == len(workload)
     assert union == baseline
-
-
-def test_select_output_compiled_matches_interpreted():
-    """Differential on the action layer itself: compiled vs interpreted
-    SelectOutput pick identical ports for identical frames."""
-    for actions in ((SelectOutput((5, 6, 7)),),
-                    (PushVlan(9), SelectOutput((5, 6))),):
-        dp_compiled = Datapath(0x1, name="c")
-        dp_interp = Datapath(0x2, name="i")
-        for dp in (dp_compiled, dp_interp):
-            for port_no, name in ((1, "in"), (5, "a"), (6, "b"), (7, "c")):
-                dp.add_port(name, port_no=port_no)
-            dp.install(FlowEntry(match=FlowMatch(in_port=1),
-                                 actions=actions))
-        dp_interp.compiled_actions = False
-        workload = []
-        for flow in range(40):
-            workload.extend(flow_frames(flow, 2))
-        dp_compiled.process_batch_from(1, list(workload))
-        for frame in workload:
-            dp_interp.process(1, frame)
-        for port_no in (5, 6, 7):
-            assert dp_compiled.ports[port_no].tx_packets \
-                == dp_interp.ports[port_no].tx_packets, f"port {port_no}"
 
 
 # -- the per-entry emit specialization (pure-output fast path) ----------------------

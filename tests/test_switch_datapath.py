@@ -207,7 +207,7 @@ def test_process_batch_matches_single_frame_path():
     for f in frames:
         single.process(in_a.port_no, f)
     in_b, out_b, rx_b = setups[1]
-    batched.process_batch((in_b.port_no, f) for f in frames)
+    batched.process_batch_from(in_b.port_no, frames)
 
     assert [f.payload for f in rx_b] == [f.payload for f in rx_a]
     assert batched.rx_packets == single.rx_packets == 5
@@ -223,12 +223,12 @@ def test_process_batch_matches_single_frame_path():
 def test_process_batch_miss_and_drop_accounting():
     dp = Datapath(1)
     in_port, _pair, _ = collector(dp, "in")
-    dp.process_batch([(in_port.port_no, frame()), (in_port.port_no, frame())])
+    dp.process_batch_from(in_port.port_no, [frame(), frame()])
     assert dp.table_misses == 2
     assert dp.dropped == 2
     punted = []
     dp.packet_in_handler = lambda d, port, fr: punted.append(port)
-    dp.process_batch([(in_port.port_no, frame())])
+    dp.process_batch_from(in_port.port_no, [frame()])
     assert punted == [in_port.port_no]
 
 
@@ -238,7 +238,7 @@ def test_process_batch_flood_excludes_ingress():
     _p2, _pair2, rx2 = collector(dp, "p2")
     _p3, _pair3, rx3 = collector(dp, "p3")
     dp.install(FlowEntry(match=FlowMatch(), actions=(Output(FLOOD_PORT),)))
-    dp.process_batch([(_p1.port_no, frame()), (_p1.port_no, frame())])
+    dp.process_batch_from(_p1.port_no, [frame(), frame()])
     assert len(rx1) == 0
     assert len(rx2) == 2
     assert len(rx3) == 2
@@ -247,7 +247,7 @@ def test_process_batch_flood_excludes_ingress():
 def test_process_batch_unknown_port_raises():
     dp = Datapath(1)
     with pytest.raises(KeyError):
-        dp.process_batch([(42, frame())])
+        dp.process_batch_from(42, [frame()])
 
 
 def test_process_batch_flushes_prefix_on_midbatch_error():
@@ -256,8 +256,12 @@ def test_process_batch_flushes_prefix_on_midbatch_error():
     out_port, _opair, rx = collector(dp, "out")
     dp.install(FlowEntry(match=FlowMatch(in_port=in_port.port_no),
                          actions=(Output(out_port.port_no),)))
+    def failing_source():
+        yield frame()
+        raise KeyError("source failed mid-batch")
+
     with pytest.raises(KeyError):
-        dp.process_batch([(in_port.port_no, frame()), (42, frame())])
+        dp.process_batch_from(in_port.port_no, failing_source())
     # The valid prefix was still delivered and credited.
     assert len(rx) == 1
     assert out_port.tx_packets == 1
@@ -291,7 +295,7 @@ def test_batch_carries_whole_chain_across_virtual_link():
         match=FlowMatch(in_port=graph_link_port.port_no),
         actions=(Output(_nf_port.port_no),)))
     frames = [frame(payload=bytes([i])) for i in range(4)]
-    base.datapath.process_batch((in_port.port_no, f) for f in frames)
+    base.datapath.process_batch_from(in_port.port_no, frames)
     assert [f.payload for f in nf_frames] == [f.payload for f in frames]
     assert link.carried == 4
     # The far LSI saw the frames through its batch pipeline too.

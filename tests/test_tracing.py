@@ -392,6 +392,40 @@ def test_live_program_invalidation_feeds_the_storm_detector():
     assert tracer.anomalies.get("invalidation-storm", 0) >= 1
 
 
+def test_reactive_program_drops_feed_the_storm_detector():
+    """A fused program dropped *reactively* — a direct table write
+    caught by the flush-time ``valid()`` check, no steering-level
+    invalidate anywhere — must reach ``note_invalidation`` like a
+    proactive drop: ``storm_threshold`` of them inside ``storm_window``
+    freeze an ``invalidation-storm`` dump."""
+    from repro.perf.dataplane import _build_chain
+    from repro.switch import FlowEntry, Output
+
+    hops = _build_chain(2)
+    first, last = hops
+    tracer = Tracer(sample_every=64, storm_threshold=3, storm_window=60.0)
+    first.tracer = tracer
+    victim = next(iter(last.table))
+    sink = last.port_by_name("sink")
+    batch = flows(4)
+    for round_no in range(1, 4):
+        first.process_batch_from(1, batch)  # (re-)fuses the chain
+        assert first.fusion.invalidations == round_no - 1
+        # Direct downstream table write: bumps the version under the
+        # live program without touching the ingress engine.
+        last.install(FlowEntry(match=victim.match,
+                               actions=(Output(sink.port_no),),
+                               priority=victim.priority))
+        assert "invalidation-storm" not in tracer.anomalies
+        first.process_batch_from(1, batch)  # stale at flush: fallback
+        assert first.fusion.invalidations == round_no
+    assert tracer.anomalies["invalidation-storm"] == 1
+    dump = tracer.flight.dump_list()[-1]
+    assert dump["reason"] == "invalidation-storm"
+    assert first.name in dump["detail"]
+    assert sink.tx_packets == 6 * len(batch)  # nothing lost on the way
+
+
 def test_slow_tick_anomaly_and_tick_histogram():
     tracer = Tracer(slow_tick_threshold=0.25, clock=lambda: 5.0)
     tracer.observe_tick(0.01, graphs=2)
