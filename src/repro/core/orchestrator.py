@@ -69,7 +69,8 @@ class LocalOrchestrator:
         return self.reconciler.journal
 
     def events(self, graph_id: str) -> list[GraphEvent]:
-        """The graph's reconciliation journal (survives undeploy)."""
+        """The graph's reconciliation journal (survives undeploy, as
+        a retired log — see :meth:`EventJournal.retire`)."""
         return self.reconciler.journal.events(graph_id)
 
     def _validate(self, graph: Nffg) -> None:

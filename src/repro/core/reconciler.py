@@ -91,9 +91,13 @@ class GraphLockRegistry:
     callers touching different graphs never contend, two touching the
     same graph never interleave.  Locks are reentrant because the call
     graph nests (``deploy`` -> ``reconcile`` -> ``tick`` all take the
-    same graph's lock), and they are never discarded: a lock object per
-    distinct graph_id ever seen is bounded and cheap, while deleting one
-    under a waiter would hand two threads "the" lock for one graph.
+    same graph's lock), and they are never discarded — not even where
+    the reconciler retires a removed graph's journal and plan: the
+    thread doing that removal is *holding* the graph's lock, and
+    deleting one under a holder or waiter would hand two threads "the"
+    lock for one graph.  One lock object per distinct graph_id ever
+    seen is therefore still retained; bounding that is the robustness
+    item's job (ROADMAP item 5).
     """
 
     def __init__(self) -> None:
@@ -113,7 +117,7 @@ class GraphLockRegistry:
 
 # -- journal ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEvent:
     """One append-only journal entry.
 
@@ -146,13 +150,20 @@ class GraphEvent:
 class EventJournal:
     """Append-only, per-graph *ring-buffered* event log.
 
+    Each graph's log is a ring of at most ``max_events`` entries so a
+    continuous control loop driving ticks forever cannot grow memory
+    without bound.  Evictions are counted per graph
+    (:meth:`dropped_count`) and reported by the REST/CLI event queries,
+    so a truncated history is never mistaken for a complete one.
+
     The journal outlives the graphs it describes (post-mortems after an
-    undeploy are the point), but each graph's log is a ring of at most
-    ``max_events`` entries so a continuous control loop driving ticks
-    forever cannot grow memory without bound.  Evictions are counted
-    per graph (:meth:`dropped_count`) and reported by the REST/CLI
-    event queries, so a truncated history is never mistaken for a
-    complete one.
+    undeploy are the point) — for a bounded while.  :meth:`retire` moves
+    a removed graph's log to the retired set, where every read still
+    finds it and an append under the same id resumes it; once the
+    retired logs together hold more than ``max_events`` events the
+    oldest-retired go, whole.  The most recently removed graphs are
+    therefore always readable, and create/delete churn over any number
+    of graph ids retains a fixed amount.
 
     ``clock`` stamps every event (:attr:`GraphEvent.time`); it defaults
     to ``time.monotonic`` and is rebound to the virtual clock by the
@@ -178,6 +189,9 @@ class EventJournal:
         self.clock: Callable[[], float] = (clock if clock is not None
                                            else time.monotonic)
         self._events: dict[str, deque[GraphEvent]] = {}
+        #: logs of removed graphs, oldest-retired first (see class doc)
+        self._retired: dict[str, deque[GraphEvent]] = {}
+        self._retired_events = 0
         self._dropped: dict[str, int] = {}
         self._seq = seq if seq is not None else itertools.count(1)
         self._lock = threading.Lock()
@@ -195,9 +209,7 @@ class EventJournal:
                                graph_id=graph_id, nf_id=nf_id,
                                rule_id=rule_id, detail=detail,
                                time=self.clock())
-            log = self._events.get(graph_id)
-            if log is None:
-                log = self._events[graph_id] = deque(maxlen=self.max_events)
+            log = self._open(graph_id)
             if len(log) == self.max_events:
                 self._dropped[graph_id] = self._dropped.get(graph_id, 0) + 1
                 evicted = True
@@ -208,9 +220,43 @@ class EventJournal:
                 on_drop(graph_id, event)
         return event
 
+    def _open(self, graph_id: str) -> "deque[GraphEvent]":
+        """The graph's live log (lock held): its own, or a retired one
+        resumed because the id was re-created, or a new ring."""
+        log = self._events.get(graph_id)
+        if log is None:
+            log = self._retired.pop(graph_id, None)
+            if log is None:
+                log = deque(maxlen=self.max_events)
+            else:
+                self._retired_events -= len(log)
+            self._events[graph_id] = log
+        return log
+
+    def retire(self, graph_id: str) -> None:
+        """Mark the graph's log as that of a removed graph (class doc).
+
+        Evicting a retired log is not an ``on_drop`` anomaly — nothing
+        live lost history — and takes the graph's drop counter along.
+        """
+        with self._lock:
+            log = self._events.pop(graph_id, None)
+            if log is None:
+                return
+            self._retired[graph_id] = log
+            self._retired_events += len(log)
+            while self._retired_events > self.max_events:
+                oldest = next(iter(self._retired))
+                self._retired_events -= len(self._retired.pop(oldest))
+                self._dropped.pop(oldest, None)
+
+    def _log(self, graph_id: str) -> "deque[GraphEvent] | tuple":
+        return self._events.get(graph_id) \
+            or self._retired.get(graph_id, ())
+
     def events(self, graph_id: str) -> list[GraphEvent]:
         with self._lock:
-            return list(self._events.get(graph_id, ()))
+            return list(self._log(graph_id))
 
     def dropped_count(self, graph_id: str) -> int:
         """Events evicted from the graph's ring since it was created."""
@@ -219,16 +265,17 @@ class EventJournal:
 
     def last_kind(self, graph_id: str) -> str:
         with self._lock:
-            log = self._events.get(graph_id)
+            log = self._log(graph_id)
             return log[-1].kind if log else ""
 
     def graphs(self) -> list[str]:
         with self._lock:
-            return sorted(self._events)
+            return sorted(self._events.keys() | self._retired.keys())
 
     def forget(self, graph_id: str) -> None:
         with self._lock:
             self._events.pop(graph_id, None)
+            self._retired_events -= len(self._retired.pop(graph_id, ()))
             self._dropped.pop(graph_id, None)
 
 
@@ -245,7 +292,7 @@ class ShardedEventJournal:
     exports still interleave in global append order.
 
     The public surface mirrors :class:`EventJournal` exactly (append /
-    events / dropped_count / last_kind / graphs / forget /
+    events / dropped_count / last_kind / graphs / forget / retire /
     ``max_events`` / ``clock``) — the reconciler, REST export, CLI and
     telemetry layers cannot tell the difference.  Reads route to the
     owning shard; :meth:`graphs` and :meth:`merged_events` merge across
@@ -301,21 +348,24 @@ class ShardedEventJournal:
         Used when a sharded control loop takes over a node that already
         journaled deploys through the default ring — post-mortems must
         not lose the pre-sharding prefix.  Events keep their original
-        seq/time stamps; drop counters carry over.
+        seq/time stamps; drop counters carry over; logs of removed
+        graphs arrive retired, in the order they were retired.
         """
         with journal._lock:
+            retired = {graph_id: list(log)
+                       for graph_id, log in journal._retired.items()}
             entries = {graph_id: list(log)
                        for graph_id, log in journal._events.items()}
             dropped = dict(journal._dropped)
-        for graph_id, events in entries.items():
+        for graph_id, events in (retired | entries).items():
             shard = self.shard_for(graph_id)
             with shard._lock:
-                log = shard._events.setdefault(
-                    graph_id, deque(maxlen=shard.max_events))
-                log.extend(events)
+                shard._open(graph_id).extend(events)
                 if dropped.get(graph_id):
                     shard._dropped[graph_id] = \
                         shard._dropped.get(graph_id, 0) + dropped[graph_id]
+            if graph_id in retired:
+                shard.retire(graph_id)
 
     # -- EventJournal surface (routed) --------------------------------------------
     def append(self, graph_id: str, kind: str, nf_id: str = "",
@@ -340,6 +390,9 @@ class ShardedEventJournal:
 
     def forget(self, graph_id: str) -> None:
         self.shard_for(graph_id).forget(graph_id)
+
+    def retire(self, graph_id: str) -> None:
+        self.shard_for(graph_id).retire(graph_id)
 
     # -- merged export -------------------------------------------------------------
     def merged_events(self) -> list[GraphEvent]:
@@ -950,6 +1003,8 @@ class Reconciler:
                 not in ("", "converged"):
             # A re-probe of an already-converged graph is not news.
             self.journal.append(graph_id, "converged")
+        if desired is None and graph_id not in self.observed:
+            self._retire(graph_id)
         return plan
 
     def _execute_steps(self, graph_id: str,
@@ -1063,6 +1118,14 @@ class Reconciler:
         raise ReconcileError(
             f"graph {graph_id!r} did not converge within {budget} ticks")
 
+    def _retire(self, graph_id: str) -> None:
+        """The graph is neither desired nor observed: keep nothing that
+        grows with the number of graph ids ever seen.  The journal stays
+        readable for a bounded while (:meth:`EventJournal.retire`); the
+        graph's lock stays for good (:class:`GraphLockRegistry`)."""
+        self.last_plans.pop(graph_id, None)
+        self.journal.retire(graph_id)
+
     def _drop_heal_attempts(self, graph_id: str) -> None:
         for key in [key for key in self._heal_attempts
                     if key[0] == graph_id]:
@@ -1095,4 +1158,5 @@ class Reconciler:
         if self.observed.pop(graph_id, None) is not None:
             self.journal.append(graph_id, "abandoned")
         self._drop_heal_attempts(graph_id)
+        self._retire(graph_id)
         return True

@@ -151,6 +151,11 @@ class TrafficSteeringManager:
         # whole chains fuse at LSI-0, the owning graph's share of the
         # fused/dispatch counters is recovered from the flow cookie.
         self.base.datapath.fusion.track_cookies = True
+        #: The fusion engines of this node with something cached: they
+        #: add themselves (``FusionEngine.holders``),
+        #: :meth:`invalidate_fusion` empties it.
+        self._fusion_holders: set = set()
+        self.base.datapath.fusion.holders = self._fusion_holders
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to LSI-0 and every existing graph LSI."""
@@ -192,6 +197,7 @@ class TrafficSteeringManager:
         lsi = LogicalSwitchInstance(f"LSI-{graph_id}", graph_id=graph_id)
         lsi.datapath.tracer = self.tracer
         lsi.datapath.fusion.track_cookies = True
+        lsi.datapath.fusion.holders = self._fusion_holders
         controller = self._wire_controller(lsi, f"ctrl-{graph_id}")
         link = VirtualLink.connect(self.base.datapath, lsi.datapath,
                                    name=f"vl-{graph_id}")
@@ -585,10 +591,17 @@ class TrafficSteeringManager:
         run afterwards.  The flush-time validity check and the
         per-frame dispatch version stamp remain as the backstop for
         direct table writes.
+
+        Only engines that cached something are called: each reported
+        itself into :attr:`_fusion_holders` when it stamped its first
+        verdict or built its first slot, and an engine outside that set
+        has nothing to drop — so the call costs the same beside one
+        graph or a thousand.
         """
-        dropped = self.base.datapath.fusion.invalidate()
-        for network in self.graphs.values():
-            dropped += network.lsi.datapath.fusion.invalidate()
+        dropped = 0
+        holders = self._fusion_holders
+        while holders:
+            dropped += holders.pop().invalidate()
         return dropped
 
     def fusion_stats(self) -> dict[str, dict]:

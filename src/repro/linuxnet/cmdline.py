@@ -50,7 +50,6 @@ class ScriptRunner:
     def __init__(self, host: LinuxHost, namespace: str = LinuxHost.ROOT) -> None:
         self.host = host
         self.default_namespace = namespace
-        self.executed: list[str] = []
 
     # -- public API ---------------------------------------------------------
     def run_script(self, lines: "list[str] | str") -> None:
@@ -65,7 +64,6 @@ class ScriptRunner:
 
     def run(self, command: str) -> None:
         """Execute a single command string."""
-        self.executed.append(command)
         try:
             argv = shlex.split(command)
         except ValueError as exc:

@@ -195,8 +195,11 @@ class RestApp:
         """The graph's reconciliation journal, oldest first.
 
         The journal outlives the graph — events of an undeployed (or
-        crashed-and-healed) graph stay readable for post-mortems, so
-        404 only means the engine never touched that graph_id.
+        crashed-and-healed) graph stay readable for post-mortems until
+        enough later removals push its retired log out
+        (:meth:`~repro.core.reconciler.EventJournal.retire`), so 404
+        means the engine never touched that graph_id or removed it
+        long ago.
         """
         graph_id = request.params["graph_id"]
         events = self.node.orchestrator.events(graph_id)

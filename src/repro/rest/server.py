@@ -3,6 +3,13 @@
 Optional — everything in the repository works through the in-process
 client — but ``repro serve`` exposes the node on localhost so the API
 can be driven with curl, as the real un-orchestrator is.
+
+Every response — status line, headers and body — leaves in **one**
+``sendall``, and accepted sockets set ``TCP_NODELAY``.  A response
+split over two small writes makes the second wait for the client's
+delayed ACK of the first (~40 ms per request on a keep-alive
+connection, whatever the handler costs); one write has nothing to
+wait for.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.core.node import ComputeNode
-from repro.rest.app import RestApp
+from repro.rest.app import Response, RestApp
 
 __all__ = ["NodeHttpServer", "serve_node"]
 
@@ -20,18 +27,38 @@ __all__ = ["NodeHttpServer", "serve_node"]
 def _make_handler(app: RestApp):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
 
         def _dispatch(self, method: str) -> None:
-            length = int(self.headers.get("Content-Length", "0") or "0")
+            try:
+                length = int(self.headers.get("Content-Length", "0") or "0")
+                if length < 0:
+                    raise ValueError(length)
+            except ValueError:
+                # The body's extent is unknown, so the connection cannot
+                # be resynchronized for a next request: answer and close.
+                self._reply(Response(400, {
+                    "error": "Content-Length must be a non-negative "
+                             "integer"}), close=True)
+                return
             body = self.rfile.read(length) if length else b""
-            response = app.handle(method, self.path, body)
+            self._reply(app.handle(method, self.path, body))
+
+        def _reply(self, response: Response, close: bool = False) -> None:
+            """Write the whole response in one ``sendall`` (see the
+            module docstring)."""
             payload = response.to_bytes()
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            if payload:
-                self.wfile.write(payload)
+            status = response.status
+            reason = self.responses.get(status, ("",))[0]
+            head = (f"{self.protocol_version} {status} {reason}\r\n"
+                    f"Server: {self.version_string()}\r\n"
+                    f"Date: {self.date_time_string()}\r\n"
+                    f"Content-Type: {response.content_type}\r\n"
+                    f"Content-Length: {len(payload)}\r\n")
+            if close:
+                self.close_connection = True
+                head += "Connection: close\r\n"
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + payload)
 
         def do_GET(self) -> None:       # noqa: N802 (http.server API)
             self._dispatch("GET")

@@ -53,7 +53,7 @@ the chain):
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
@@ -461,30 +461,25 @@ class FlowTable:
         return iter(self._entries)
 
     # -- index maintenance -------------------------------------------------
-    def _bucket(self, match: FlowMatch) -> list[FlowEntry]:
-        """The index bucket this match belongs to (created on demand)."""
+    def _index_of(self, match: FlowMatch) -> tuple:
+        """``(index dict, key)`` of the bucket a match belongs to;
+        ``(None, None)`` for the wildcard list."""
         if match.in_port is None:
-            return self._wild
+            return None, None
         if match.vlan_vid is None or match.vlan_vid == ANY_VLAN:
-            return self._by_port.setdefault(match.in_port, [])
-        return self._exact.setdefault((match.in_port, match.vlan_vid), [])
+            return self._by_port, match.in_port
+        return self._exact, (match.in_port, match.vlan_vid)
 
-    def _unindex(self, entry: FlowEntry) -> None:
-        match = entry.match
-        if match.in_port is None:
-            self._wild.remove(entry)
-            return
-        if match.vlan_vid is None or match.vlan_vid == ANY_VLAN:
-            bucket = self._by_port[match.in_port]
-            bucket.remove(entry)
-            if not bucket:
-                del self._by_port[match.in_port]
-            return
-        key = (match.in_port, match.vlan_vid)
-        bucket = self._exact[key]
-        bucket.remove(entry)
-        if not bucket:
-            del self._exact[key]
+    def _remove(self, entry: FlowEntry) -> None:
+        """Take ``entry`` out of the entry list and its bucket — both by
+        bisection, the sort key being unique per entry."""
+        index, key = self._index_of(entry.match)
+        bucket = self._wild if index is None else index[key]
+        sort_key = _sort_key(entry)
+        for entries in (self._entries, bucket):
+            del entries[bisect_left(entries, sort_key, key=_sort_key)]
+        if index is not None and not bucket:
+            del index[key]
 
     # -- modification ------------------------------------------------------
     def add(self, entry: FlowEntry) -> None:
@@ -492,17 +487,25 @@ class FlowTable:
         self.delete(match=entry.match, priority=entry.priority, strict=True)
         self.version += 1
         insort(self._entries, entry, key=_sort_key)
-        insort(self._bucket(entry.match), entry, key=_sort_key)
+        index, key = self._index_of(entry.match)
+        insort(self._wild if index is None else index.setdefault(key, []),
+               entry, key=_sort_key)
 
     def delete(self, match: Optional[FlowMatch] = None,
                priority: Optional[int] = None, cookie: Optional[int] = None,
                strict: bool = False) -> int:
-        """Remove matching entries; returns how many were removed."""
+        """Remove matching entries; returns how many were removed.
+
+        A strict delete (and so the replace probe of :meth:`add`) names
+        one exact match, whose entries can only sit in the one index
+        bucket that match belongs to: it costs that bucket, not the
+        table.  A non-strict delete is a filter and scans every entry.
+        """
         def doomed(entry: FlowEntry) -> bool:
             if cookie is not None and entry.cookie != cookie:
                 return False
             if strict:
-                return (match is not None and entry.match == match
+                return (entry.match == match
                         and (priority is None or entry.priority == priority))
             if match is not None and not match.subsumes(entry.match):
                 return False
@@ -510,15 +513,19 @@ class FlowTable:
                 return False
             return True
 
-        victims = [entry for entry in self._entries if doomed(entry)]
+        if not strict:
+            candidates = self._entries
+        elif match is None:
+            return 0
+        else:
+            index, key = self._index_of(match)
+            candidates = self._wild if index is None else index.get(key, ())
+        victims = [entry for entry in candidates if doomed(entry)]
         if not victims:
             return 0
         self.version += 1
-        victim_ids = {entry.entry_id for entry in victims}
-        self._entries = [entry for entry in self._entries
-                         if entry.entry_id not in victim_ids]
         for entry in victims:
-            self._unindex(entry)
+            self._remove(entry)
         return len(victims)
 
     def clear(self) -> int:

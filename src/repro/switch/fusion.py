@@ -74,12 +74,17 @@ dropped for re-tracing.  The steering layer additionally drops every
 program *before* its strict deletes reach the tables
 (:meth:`~repro.core.steering.TrafficSteeringManager.invalidate_fusion`),
 so the window where a stale positive exists at all is confined to
-direct table writes, which the version check covers.
+direct table writes, which the version check covers.  That proactive
+drop costs what is cached, not what is installed: each engine keeps a
+weak registry of the entries it gave a verdict (:meth:`FusionEngine.trace`
+is the only writer of ``entry.fused``) and reports itself to its owner
+when it first holds one, so neither tables nor clean engines are walked.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+from weakref import WeakValueDictionary
 
 from repro.net.builder import ParsedFrame, parse_frame
 from repro.switch.actions import (
@@ -404,15 +409,27 @@ class FusionEngine:
     Failed traces are negative-cached with the engine's ``epoch`` —
     :meth:`invalidate` bumps it, so a steering-level change retries
     every trace while per-frame cost for unfuseable entries stays at
-    one attribute read and an int compare.
+    one attribute read and an int compare.  Every entry given a verdict
+    is remembered in :attr:`traced`, so :meth:`invalidate` visits those
+    and never the table.
     """
 
     __slots__ = ("dp", "enabled", "epoch", "dispatch", "hits", "misses",
                  "dispatch_hits", "dispatch_misses", "invalidations",
-                 "programs_built", "track_cookies", "cookie_stats")
+                 "programs_built", "track_cookies", "cookie_stats",
+                 "traced", "holders")
 
     def __init__(self, dp) -> None:
         self.dp = dp
+        #: ``entry_id -> entry`` for every entry :meth:`trace` stamped
+        #: (program or negative verdict).  Weak: a program refers back
+        #: to its ingress entry, so a deleted entry is a garbage cycle
+        #: this registry must not pin.
+        self.traced: WeakValueDictionary = WeakValueDictionary()
+        #: Set by the steering manager: the engines of its node holding
+        #: a verdict or a dispatch slot, i.e. the only ones its
+        #: ``invalidate_fusion`` has to call.  ``None`` when standalone.
+        self.holders: Optional[set] = None
         #: Production default is on.  ``False`` pins the datapath to
         #: the per-hop batch path — the differential suites' and
         #: nfbench's reference switch, and the only fusion mode knob.
@@ -481,9 +498,7 @@ class FusionEngine:
         """
         dropped = 0
         for entry in entries:
-            # Untraced entries hold neither verdict nor slots: skip the
-            # call — a steering invalidate walks every table of the node.
-            if entry.fused is not None and entry.drop_fused():
+            if entry.drop_fused():
                 dropped += 1
         if dropped:
             self.invalidations += dropped
@@ -500,7 +515,9 @@ class FusionEngine:
         rule set."""
         self.epoch += 1
         self.dispatch.clear()
-        return self.drop(self.dp.table)
+        traced = list(self.traced.values())
+        self.traced.clear()
+        return self.drop(traced)
 
     def build_slot(self, port_dispatch: dict, in_port: int,
                    vlan: Optional[int]) -> list:
@@ -527,6 +544,8 @@ class FusionEngine:
                 slot[2] = program
                 entry.dispatch.append(slot)
         port_dispatch[vlan] = slot
+        if self.holders is not None:
+            self.holders.add(self)
         return slot
 
     def trace(self, entry: FlowEntry):
@@ -539,6 +558,9 @@ class FusionEngine:
             self.programs_built += 1
             result = program
         entry.fused = result
+        self.traced[entry.entry_id] = entry
+        if self.holders is not None:
+            self.holders.add(self)
         return result
 
     def _trace(self, entry: FlowEntry) -> Optional[FusedChain]:

@@ -94,7 +94,9 @@ class VirtualLink:
         validity check — ``peer_link`` identity is part of it.)"""
         for port in (self.a, self.b):
             if port is not None and port.datapath is not None:
-                port.datapath.fusion.invalidate()
+                fusion = port.datapath.fusion
+                if fusion.traced or fusion.dispatch:  # else: nothing to drop
+                    fusion.invalidate()
 
     def _far(self, from_port: SwitchPort) -> Optional[SwitchPort]:
         if from_port is self.a:

@@ -28,7 +28,7 @@ under the sim clock, wall-monotonic in production.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from array import array
 from typing import Optional
 
 from repro.core.reconciler import Reconciler
@@ -39,30 +39,42 @@ __all__ = ["MetricsRegistry", "NfSeries", "SeriesRing"]
 
 
 class SeriesRing:
-    """A bounded time series: ``(t, value)`` pairs, oldest evicted."""
+    """A bounded time series: ``(t, value)`` pairs, oldest evicted.
 
-    __slots__ = ("_data",)
+    Points live interleaved in one ``array('d')`` — 16 bytes each,
+    against a tuple and two boxed floats — because a node keeps two
+    rings per NF per graph for as long as the graph lives.
+    """
+
+    __slots__ = ("_data", "_limit")
 
     def __init__(self, capacity: int = 512) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._data: deque = deque(maxlen=capacity)
+        self._data = array("d")
+        self._limit = 2 * capacity
 
     def append(self, t: float, value: float) -> None:
-        self._data.append((t, value))
+        data = self._data
+        if len(data) == self._limit:
+            del data[:2]
+        data.append(t)
+        data.append(value)
 
     def items(self) -> list[tuple[float, float]]:
-        return list(self._data)
+        data = self._data
+        return list(zip(data[::2], data[1::2]))
 
     @property
     def last(self) -> Optional[tuple[float, float]]:
-        return self._data[-1] if self._data else None
+        data = self._data
+        return (data[-2], data[-1]) if data else None
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._data) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SeriesRing {len(self._data)}/{self._data.maxlen}>"
+        return f"<SeriesRing {len(self)}/{self._limit // 2}>"
 
 
 class NfSeries:

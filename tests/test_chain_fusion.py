@@ -4,10 +4,13 @@ The hypothesis differential (``test_batch_equivalence``) pins fused
 behavior against the per-hop oracle across random scenarios; these
 tests pin the *mechanism* — what fuses and what must not, how the
 tri-state cache behaves, that settled counters match the per-hop twin
-bit-for-bit including two-branch VLAN byte deltas, and that the
-steering layer drops programs before any strict delete lands.
+bit-for-bit including two-branch VLAN byte deltas, that the steering
+layer drops programs before any strict delete lands, and that the
+registries which make invalidation cost what is cached (not what is
+installed) drop exactly what a walk of every table would.
 """
 
+import gc
 import pickle
 
 from repro.linuxnet import VethPair
@@ -425,3 +428,153 @@ def test_steering_stats_and_metrics_surface_fusion():
         assert set(lsi_stats) == {"hits", "misses", "dispatch-hits",
                                   "dispatch-misses", "invalidations",
                                   "programs-built", "enabled"}
+
+
+def _tenant_graph(graph_id, vlan_id, through_nf=True):
+    """One tenant on VLAN ``vlan_id`` of lan0: through its NAT (chains
+    that cross LSIs and fuse) or straight lan -> wan (a one-hop rule on
+    LSI-0, which traces to a negative verdict)."""
+    from repro.nffg.model import Nffg
+
+    graph = Nffg(graph_id=graph_id)
+    graph.add_nf("nat1", "nat")
+    graph.add_endpoint("lan", "lan0", vlan_id=vlan_id)
+    graph.add_endpoint("wan", "wan0")
+    if through_nf:
+        graph.add_flow_rule("r1", "endpoint:lan", "vnf:nat1:lan")
+        graph.add_flow_rule("r2", "vnf:nat1:wan", "endpoint:wan")
+    else:
+        graph.add_flow_rule("r1", "endpoint:lan", "endpoint:wan")
+    return graph
+
+
+def _fleet_with_traffic():
+    """Four graphs on one node: g1/g2 fuse at LSI-0 *and* at their own
+    LSI (return traffic), g3 leaves a negative verdict on LSI-0, g4
+    never sees a frame."""
+    from test_core_steering import fake_instance, manager_with_interfaces
+
+    manager, _wires = manager_with_interfaces("lan0", "wan0")
+    for index, graph_id in enumerate(("g1", "g2", "g3", "g4")):
+        graph = _tenant_graph(graph_id, 10 + index,
+                              through_nf=graph_id != "g3")
+        manager.create_graph_network(graph_id)
+        instance = fake_instance("nat1", graph_id=graph_id)
+        manager.attach_instances(graph_id, {"nat1": instance})
+        manager.install_graph_rules(graph, {"nat1": instance})
+    manager.inject_batch("lan0", _frames(12, vlans=(10, 11, 12)))
+    for graph_id in ("g1", "g2"):
+        network = manager.graphs[graph_id]
+        network.lsi.datapath.process_batch_from(
+            network.nf_ports[("nat1", "wan")].port_no, _frames(3))
+    return manager
+
+
+class _InvalidationLog:
+    """The one tracer hook ``FusionEngine.drop`` calls."""
+
+    def __init__(self):
+        self.notes = []
+
+    def note_invalidation(self, name, dropped):
+        self.notes.append((name, dropped))
+
+
+def test_invalidate_fusion_equals_a_walk_of_every_table(monkeypatch):
+    from repro.switch.fusion import FusionEngine
+
+    manager = _fleet_with_traffic()
+    datapaths = {"LSI-0": manager.base.datapath}
+    for network in manager.graphs.values():
+        datapaths[network.lsi.name] = network.lsi.datapath
+
+    # The reference: what walking every table of the node finds cached.
+    live, cached, epochs, invalidations = {}, {}, {}, {}
+    for name, dp in datapaths.items():
+        verdicts = [entry.fused for entry in dp.table
+                    if entry.fused is not None]
+        live[name] = sum(isinstance(v, FusedChain) for v in verdicts)
+        slots = sum(len(by_vlan) for by_vlan in dp.fusion.dispatch.values())
+        cached[name] = bool(verdicts) or slots > 0
+        epochs[name] = dp.fusion.epoch
+        invalidations[name] = dp.fusion.invalidations
+    assert live == {"LSI-0": 2, "LSI-g1": 1, "LSI-g2": 1, "LSI-g3": 0,
+                    "LSI-g4": 0}
+    assert cached == {"LSI-0": True, "LSI-g1": True, "LSI-g2": True,
+                      "LSI-g3": False, "LSI-g4": False}
+    negative = [entry for entry in manager.base.datapath.table
+                if type(entry.fused) is int]
+    assert len(negative) == 1  # g3's one-hop rule
+
+    called = []
+    original = FusionEngine.invalidate
+
+    def spying(engine):
+        called.append(engine.dp.name)
+        return original(engine)
+
+    monkeypatch.setattr(FusionEngine, "invalidate", spying)
+    log = _InvalidationLog()
+    for dp in datapaths.values():
+        dp.tracer = log
+
+    assert manager.invalidate_fusion() == sum(live.values())
+
+    # Engines that never cached anything are not even called ...
+    assert sorted(called) == ["LSI-0", "LSI-g1", "LSI-g2"]
+    # ... and what a walk of every table now finds is: nothing.
+    for name, dp in datapaths.items():
+        engine = dp.fusion
+        for entry in dp.table:
+            assert entry.fused is None and entry.dispatch == []
+        assert not any(engine.dispatch.values())
+        assert engine.invalidations - invalidations[name] == live[name]
+        assert engine.epoch == epochs[name] + cached[name]
+        assert len(engine.traced) == 0
+    assert sorted(log.notes) == [("LSI-0", 2), ("LSI-g1", 1), ("LSI-g2", 1)]
+    # A second call finds every engine clean: it costs no call at all.
+    del called[:]
+    assert manager.invalidate_fusion() == 0
+    assert called == []
+    # The contract is whole: traffic re-traces and re-fuses.
+    for dp in datapaths.values():
+        dp.tracer = None
+    manager.inject_batch("lan0", _frames(12, vlans=(10, 11, 12)))
+    assert manager.base.datapath.fusion.programs_built == 4
+
+
+def test_traced_registry_does_not_pin_deleted_entries():
+    """Direct table deletes never tell the engine, and a program
+    refers back to its ingress entry, so a deleted entry is a garbage
+    *cycle*: once collected it must be out of the registry too."""
+    hops = _build_chain(2)
+    first = hops[0]
+    engine = first.fusion
+    out_no = next(iter(first.table)).actions[0].port
+    first.table.clear()
+    # Oracle mode keeps the dispatch layer out of it: a dispatch slot
+    # holds its entry strongly until its slice is re-resolved, which
+    # would hide whether the *registry* lets go.
+    first.table.oracle = True
+    vlans = list(range(100, 140))
+    for vid in vlans:
+        # Even vids forward down the chain (a program); odd ones punt
+        # (a negative verdict).
+        actions = (Output(out_no),) if vid % 2 == 0 else (Controller(),)
+        first.install(FlowEntry(match=FlowMatch(in_port=1, vlan_vid=vid),
+                                actions=actions))
+    first.process_batch_from(1, _frames(len(vlans), vlans=vlans))
+    assert engine.programs_built == len(vlans) // 2
+    assert len(engine.traced) == len(vlans)
+    assert sum(type(entry.fused) is int for entry in first.table) \
+        == len(vlans) // 2
+
+    for vid in vlans[:30]:  # 15 programs, 15 negative verdicts
+        assert first.table.delete(
+            match=FlowMatch(in_port=1, vlan_vid=vid), strict=True) == 1
+    gc.collect()
+    survivors = [entry for entry in first.table if entry.fused is not None]
+    assert len(survivors) == 10
+    assert len(engine.traced) <= len(survivors)
+    assert engine.invalidate() == 5
+    assert len(engine.traced) == 0

@@ -99,6 +99,14 @@ def test_graph_events_command(served_node, capsys):
     assert "converged" in out
 
 
+def test_graph_events_of_a_removed_graph_still_served(served_node, capsys):
+    node, server = served_node
+    node.undeploy("cli-test")
+    assert main(["graph", "events", "cli-test", "--url", server.url]) == 0
+    out = capsys.readouterr().out
+    assert "desired-set" in out and "removed" in out
+
+
 def test_graph_reconcile_command(served_node, capsys):
     node, server = served_node
     assert main(["graph", "reconcile", "cli-test",

@@ -151,8 +151,3 @@ def test_unknown_command_raises(runner):
     with pytest.raises(CommandError):
         runner.run("ip link frobnicate e0")
 
-
-def test_executed_log_kept(runner):
-    runner.run("echo one")
-    runner.run("true")
-    assert runner.executed == ["echo one", "true"]

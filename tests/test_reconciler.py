@@ -301,6 +301,115 @@ def test_rest_events_and_reconcile_endpoints():
     assert client.post("/graphs/ghost/reconcile").status == 404
 
 
+def test_removed_graph_is_retired_readable_and_resumable():
+    """A tick that ends with a graph neither desired nor observed
+    retires its journal and forgets its plan; the history stays served
+    and a re-created id continues it."""
+    node, driver = heal_node()
+    client = RestClient(RestApp(node))
+    reconciler = node.orchestrator.reconciler
+    journal = reconciler.journal
+    node.deploy(chain_graph())
+    assert "chain" in reconciler.last_plans
+    node.undeploy("chain")
+    assert "chain" not in reconciler.last_plans
+    assert "chain" in journal._retired and "chain" not in journal._events
+    history = journal_kinds(node, "chain")
+    assert history[0] == "desired-set" and "removed" in history
+    assert journal.last_kind("chain") == history[-1]
+    assert journal.graphs() == ["chain"]
+    served = client.get("/graphs/chain/events")
+    assert served.status == 200
+    assert [event["kind"] for event in served.body["events"]] == history
+    # Ticking an id the node holds nothing for retains nothing either.
+    node.orchestrator.tick("ghost")
+    assert "ghost" not in reconciler.last_plans
+    assert journal.graphs() == ["chain"]
+    # Re-created: the same log goes on, and is live again.
+    node.deploy(chain_graph())
+    resumed = journal_kinds(node, "chain")
+    assert resumed[:len(history)] == history
+    assert resumed[len(history)] == "desired-set"
+    assert "chain" in journal._events and not journal._retired
+    assert journal._retired_events == 0
+    # The abandon-as-is path ends neither desired nor observed as well.
+    assert reconciler.forget("chain", teardown=False)
+    assert "chain" in journal._retired
+    assert "chain" not in reconciler.last_plans
+    assert journal_kinds(node, "chain")[-1] == "abandoned"
+
+
+def test_retired_journals_stay_bounded_over_any_number_of_ids():
+    from repro.core.reconciler import EventJournal, ShardedEventJournal
+
+    journal = ShardedEventJournal(shards=4, max_events=50)
+    anomalies = []
+    journal.on_drop = lambda graph_id, event: anomalies.append(graph_id)
+    for i in range(10_000):
+        graph_id = f"sub-{i}"
+        for kind in ("desired-set", "plan", "removed"):
+            journal.append(graph_id, kind)
+        journal.retire(graph_id)
+    for shard in journal.shards:
+        assert not shard._events
+        assert 0 < shard._retired_events <= shard.max_events
+        assert shard._retired_events == sum(
+            len(log) for log in shard._retired.values())
+        assert not shard._dropped
+    # Eviction of a retired log is not a journal-drop anomaly.
+    assert anomalies == []
+    # The most recently removed graph is whole, the oldest gone, and
+    # the merged export is exactly what the shards still hold.
+    assert [e.kind for e in journal.events("sub-9999")] == [
+        "desired-set", "plan", "removed"]
+    assert journal.last_kind("sub-9999") == "removed"
+    assert journal.events("sub-0") == [] and journal.last_kind("sub-0") == ""
+    merged = journal.merged_events()
+    assert len(merged) == sum(s._retired_events for s in journal.shards)
+    assert {e.graph_id for e in merged} == set(journal.graphs())
+    assert [e.seq for e in merged] == sorted(e.seq for e in merged)
+
+    # A ring that overflowed keeps its drop count while its log is
+    # held, and the count goes when the log does.
+    single = EventJournal(max_events=4)
+    for i in range(6):
+        single.append("noisy", f"kind-{i}")
+    single.retire("noisy")
+    assert single.dropped_count("noisy") == 2
+    assert [e.kind for e in single.events("noisy")] == [
+        "kind-2", "kind-3", "kind-4", "kind-5"]
+    single.append("next", "removed")
+    single.retire("next")  # 5 retired events > 4: the oldest log goes
+    assert single.events("noisy") == []
+    assert single.dropped_count("noisy") == 0
+    assert single.graphs() == ["next"] and single._retired_events == 1
+    single.retire("next")  # already retired: no double count
+    single.retire("never-seen")
+    assert single._retired_events == 1
+    single.forget("next")
+    assert single.graphs() == [] and single._retired_events == 0
+
+
+def test_adopt_carries_retired_logs_over_as_retired():
+    from repro.core.reconciler import EventJournal, ShardedEventJournal
+
+    single = EventJournal(max_events=5)
+    for graph_id in ("gone-1", "gone-2"):
+        single.append(graph_id, "desired-set")
+        single.append(graph_id, "removed")
+        single.retire(graph_id)
+    single.append("live", "desired-set")
+    sharded = ShardedEventJournal(shards=2, max_events=5)
+    sharded.adopt(single)
+    assert sharded.graphs() == ["gone-1", "gone-2", "live"]
+    assert [e.seq for e in sharded.merged_events()] == [1, 2, 3, 4, 5]
+    for graph_id in ("gone-1", "gone-2"):
+        shard = sharded.shard_for(graph_id)
+        assert graph_id in shard._retired and graph_id not in shard._events
+        assert sharded.last_kind(graph_id) == "removed"
+    assert "live" in sharded.shard_for("live")._events
+
+
 def test_status_reports_convergence_and_desired():
     node, driver = heal_node()
     node.deploy(chain_graph())

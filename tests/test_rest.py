@@ -141,3 +141,142 @@ class TestHttpServer:
                 assert exc.code == 404
         finally:
             server.stop()
+
+
+class _SendSpy:
+    """An accepted socket that records every ``sendall`` it is handed."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def fleet_graph(index):
+    graph = Nffg(graph_id=f"fleet{index}")
+    graph.add_nf("fw", "firewall", technology="docker",
+                 config={"firewall.allow": "udp:53"})
+    graph.add_endpoint("lan", "lan0", vlan_id=100 + index)
+    graph.add_endpoint("wan", "wan0")
+    graph.add_flow_rule("r1", "endpoint:lan", "vnf:fw:lan")
+    graph.add_flow_rule("r2", "vnf:fw:wan", "endpoint:wan")
+    return graph
+
+
+@pytest.fixture
+def spied_server():
+    """A served 63-graph node whose accepted sockets and in-process
+    responses are both recorded."""
+    from repro.resources.capabilities import NodeCapabilities
+    from repro.rest.server import NodeHttpServer
+
+    node = ComputeNode("rest-socket",
+                       capabilities=NodeCapabilities.datacenter_server())
+    node.add_physical_interface("lan0")
+    node.add_physical_interface("wan0")
+    for index in range(63):
+        node.deploy(fleet_graph(index))
+    try:
+        server = NodeHttpServer(node, port=0)
+    except OSError:
+        pytest.skip("cannot bind a localhost socket here")
+    accepted, handled = [], []
+    get_request = server._server.get_request
+    handle = server.app.handle
+
+    def spying_get_request():
+        sock, address = get_request()
+        accepted.append(_SendSpy(sock))
+        return accepted[-1], address
+
+    def spying_handle(method, path, body=b""):
+        handled.append(handle(method, path, body))
+        return handled[-1]
+
+    server._server.get_request = spying_get_request
+    server.app.handle = spying_handle
+    server.start()
+    try:
+        yield server, accepted, handled
+    finally:
+        server.stop()
+
+
+class TestSocketBehaviour:
+    """By count, not by clock: a response split over two writes stalls
+    on the client's delayed ACK, so what is pinned is the number of
+    ``sendall`` calls and the socket option, not a latency."""
+
+    def test_one_sendall_per_response_and_nodelay(self, spied_server):
+        import http.client
+        import socket
+
+        server, accepted, handled = spied_server
+        connection = http.client.HTTPConnection(*server.address)
+        body = json.dumps(nffg_to_dict(nat_graph())).encode()
+        exchanges = [("PUT", "/nffg/g1", body, 201),
+                     ("GET", "/nffg/g1/status", None, 200),
+                     ("GET", "/metrics", None, 200),
+                     ("DELETE", "/nffg/g1", None, 204)]
+        try:
+            for count, (verb, path, payload, status) in enumerate(
+                    exchanges, start=1):
+                connection.request(verb, path, body=payload)
+                reply = connection.getresponse()
+                received = reply.read()
+                assert len(accepted) == 1, "the connection is kept alive"
+                spy = accepted[0]
+                assert len(spy.sends) == count, (
+                    f"{verb} {path} left in "
+                    f"{len(spy.sends) - count + 1} writes")
+                # Status, length and bytes are the in-process result's.
+                expected = handled[-1].to_bytes()
+                assert reply.status == handled[-1].status == status
+                assert int(reply.getheader("Content-Length")) \
+                    == len(expected)
+                assert received == expected
+                assert reply.getheader("Content-Type") \
+                    == handled[-1].content_type
+                head, _, sent_body = spy.sends[-1].partition(b"\r\n\r\n")
+                assert head.startswith(f"HTTP/1.1 {status} ".encode())
+                assert sent_body == expected
+            assert len(handled) == len(exchanges)
+            assert handled[3].to_bytes() == b""          # 204: head only
+            assert len(handled[2].to_bytes()) > 64 * 1024  # >> one buffer
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY) != 0
+        finally:
+            connection.close()
+
+    def test_hostile_content_length_is_a_400_and_a_close(self, spied_server):
+        import socket
+        import urllib.request
+
+        server, accepted, handled = spied_server
+        for length in ("banana", "-5", "1e3", "12 34"):
+            with socket.create_connection(server.address, timeout=5) as raw:
+                raw.sendall(f"PUT /nffg/g1 HTTP/1.1\r\nHost: node\r\n"
+                            f"Content-Length: {length}\r\n\r\n".encode())
+                reply = b""
+                while True:  # the server closes: recv() reaches EOF
+                    chunk = raw.recv(65536)
+                    if not chunk:
+                        break
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith("HTTP/1.1 400 "), length
+            assert "Connection: close" in lines
+            assert "Content-Length" in json.loads(body)["error"]
+            assert f"Content-Length: {len(body)}" in lines
+            assert len(accepted[-1].sends) == 1
+        assert handled == [], "no such request ever reached the app"
+        # The server threads survived: the next connection is served.
+        with urllib.request.urlopen(f"{server.url}/nffg") as reply:
+            assert len(json.loads(reply.read())["nffgs"]) == 63

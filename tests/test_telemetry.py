@@ -97,6 +97,23 @@ def test_series_ring_bounds_and_evicts():
         SeriesRing(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 7])
+def test_series_ring_equals_a_bounded_deque(capacity):
+    from collections import deque
+
+    ring = SeriesRing(capacity=capacity)
+    model = deque(maxlen=capacity)
+    assert ring.items() == [] and ring.last is None and len(ring) == 0
+    # below, at and well beyond capacity
+    for i in range(3 * capacity + 2):
+        point = (i * 0.5, i * i / 3)
+        ring.append(*point)
+        model.append(point)
+        assert ring.items() == list(model)
+        assert ring.last == model[-1]
+        assert len(ring) == len(model)
+
+
 def test_event_journal_ring_reports_dropped():
     journal = EventJournal(max_events=4, clock=lambda: 7.5)
     for i in range(10):
