@@ -1,29 +1,7 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-evaluation benches (``bench_*.py``)."""
 
-The ``perf`` marker and the ``--bench-json`` option are registered by
-the repo-root ``conftest.py`` (pytest only honors ``pytest_addoption``
-in root conftests); :func:`bench_json_path` resolves the option for
-benches run from either entry point.
-"""
 
 def print_block(title: str, body: str) -> None:
     """Readable experiment output inside pytest-benchmark runs."""
     bar = "=" * max(len(title), 20)
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-def bench_json_path(config) -> str:
-    """Where perf benches should write their JSON results."""
-    try:
-        return config.getoption("--bench-json")
-    except (ValueError, KeyError):  # option not registered (isolated run)
-        # Single source of truth for the default path is the root
-        # conftest; load it by file to dodge conftest-module renaming.
-        import importlib.util
-        import os
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "_root_conftest", os.path.join(root, "conftest.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.DEFAULT_BENCH_JSON

@@ -1,54 +1,8 @@
-"""Repo-wide pytest wiring: the ``perf`` marker and bench JSON output.
+"""Anchors pytest's rootdir at the repo root.
 
-Tier-1 (``pytest -x -q``) must stay fast, so tests marked ``perf`` are
-skipped unless the marker is selected explicitly::
-
-    PYTHONPATH=src python -m pytest -m perf            # pps sweep
-    PYTHONPATH=src python -m pytest -m perf --bench-json out.json
-
-The sweep writes ``BENCH_dataplane.json`` (path overridable with
-``--bench-json``) so successive PRs can track the pps trajectory.
-
-``--quick`` shrinks the perf sweep to the smoke configuration (one
-table size, chain length 2, best-of-2) asserting only the
-no-regression gates::
-
-    PYTHONPATH=src python -m pytest -m perf --quick
-
-Quick runs never overwrite the bench JSON artifact — the trajectory
-file always comes from a full sweep.
+With this file present, pytest puts the repo root on ``sys.path``, so
+test modules can import each other and the bench helpers as packages
+(``from tests.test_elastic_scaling import ...``,
+``from benchmarks.conftest import ...``).  Without it, bare ``pytest``
+fails to import them.  It registers no options or markers.
 """
-
-import os
-
-import pytest
-
-_HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_BENCH_JSON = os.path.join(_HERE, "BENCH_dataplane.json")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", action="store", default=DEFAULT_BENCH_JSON,
-        help="where perf-marked benches write their JSON results "
-             "(default: BENCH_dataplane.json at the repo root)")
-    parser.addoption(
-        "--quick", action="store_true", default=False,
-        help="run perf-marked benches in the smoke configuration: "
-             "single table size, chain length 2, no-regression gates "
-             "only, no JSON artifact written")
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "perf: dataplane pps sweeps; excluded from tier-1, run with -m perf")
-
-
-def pytest_collection_modifyitems(config, items):
-    if "perf" in (config.option.markexpr or ""):
-        return
-    skip = pytest.mark.skip(reason="perf bench: run with `pytest -m perf`")
-    for item in items:
-        if "perf" in item.keywords:
-            item.add_marker(skip)

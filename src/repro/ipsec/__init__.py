@@ -1,20 +1,22 @@
-"""IPsec: ESP tunnel mode, SAs with anti-replay, and a strongSwan model.
+"""IPsec: ESP tunnel mode and SAs with anti-replay.
 
 The paper's Table 1 workload is a strongSwan ESP tunnel-mode endpoint.
-This package implements:
+This package implements the per-packet machinery:
 
-* :mod:`repro.ipsec.crypto` — HMAC-SHA256 authentication and a
+* :mod:`repro.ipsec.crypto` — HMAC-SHA256 authentication, a
   SHA-256-in-counter-mode keystream cipher (documented stand-in for
-  AES; no crypto libraries are available offline).
+  AES; no crypto libraries are available offline) and the SA key
+  derivation.
 * :mod:`repro.ipsec.sa` — security associations: SPI, keys, sequence
   numbers, a 64-packet anti-replay window, lifetime counters.
 * :mod:`repro.ipsec.esp` — RFC 4303 encapsulation/decapsulation in
   tunnel mode with real byte layouts.
-* :mod:`repro.ipsec.ike` — a two-message pre-shared-key handshake
-  (stand-in for IKEv2) that derives the SA key material.
-* :mod:`repro.ipsec.strongswan` — the NF itself: a daemon that
-  negotiates SAs and then processes packets either on the kernel XFRM
-  fast path (native / Docker flavors) or in user space (VM flavor).
+
+The NF itself is :mod:`repro.nnf.plugins.strongswan`.  It runs no key
+exchange: both tunnel endpoints derive matching SAs from the
+pre-shared key and install them as kernel XFRM state
+(:mod:`repro.linuxnet.xfrm`), which encrypts and decrypts on the
+namespace forwarding path for every packaging flavor.
 """
 
 from repro.ipsec.crypto import KeystreamCipher, derive_keys, hmac_sha256

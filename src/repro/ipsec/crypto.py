@@ -58,8 +58,8 @@ def derive_keys(shared_secret: bytes, nonce_i: bytes, nonce_r: bytes,
     """Derive (encryption_key, authentication_key) for one SA.
 
     HKDF-shaped: extract with the concatenated nonces as salt, then two
-    labelled expansions.  Both sides of the toy IKE handshake call this
-    with the same inputs and obtain the same key material.
+    labelled expansions.  Both tunnel endpoints call this with the same
+    pre-shared key and inputs and obtain the same key material.
     """
     if not shared_secret:
         raise ValueError("empty shared secret")

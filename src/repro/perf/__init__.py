@@ -14,40 +14,29 @@ on throughput, Native smallest in RAM and image by a wide margin.
 * :mod:`repro.perf.iperf` — the iPerf-like load generator/sink pair;
 * :mod:`repro.perf.memory` — RAM footprint decomposition per flavor;
 * :mod:`repro.perf.table1` — the Table 1 experiment driver;
-* :mod:`repro.perf.dataplane` — pps microbenchmarks for the switch
-  substrate itself: indexed vs linear flow lookup and the batched
-  LSI-chain pipeline (emits ``BENCH_dataplane.json``).
+* :mod:`repro.perf.capture` — pcap capture from datapath taps or
+  wires.
+
+The paper-evaluation benches that assert these shapes are
+``benchmarks/bench_*.py``; measured end-to-end throughput of this
+repo's own dataplane and control plane is ``benchmarks/nfbench``'s job.
 """
 
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.dataplane import (
-    ChainPoint,
-    LookupPoint,
-    run_dataplane_bench,
-    sweep_chain,
-    sweep_lookup,
-    write_bench_json,
-)
 from repro.perf.iperf import IperfResult, run_iperf
 from repro.perf.memory import MemoryModel
 from repro.perf.pipeline import PacketPipeline, Stage, measure_throughput
 from repro.perf.table1 import Table1Row, run_table1
 
 __all__ = [
-    "ChainPoint",
     "CostModel",
     "IperfResult",
-    "LookupPoint",
     "MemoryModel",
     "NfWorkload",
     "PacketPipeline",
     "Stage",
     "Table1Row",
     "measure_throughput",
-    "run_dataplane_bench",
     "run_iperf",
     "run_table1",
-    "sweep_chain",
-    "sweep_lookup",
-    "write_bench_json",
 ]

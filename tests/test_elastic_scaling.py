@@ -147,6 +147,7 @@ def test_every_frame_of_a_flow_hits_the_same_replica():
     # The spread used more than one replica overall.
     used = {nf_id for nf_id, frames in captured.items() if frames}
     assert len(used) >= 2
+    assert used == {"dpi", "dpi@1", "dpi@2"}  # every replica took flows
 
 
 def test_lb_chain_is_byte_for_byte_identical_to_single_replica():
@@ -333,6 +334,10 @@ def test_full_elastic_loop_scales_out_and_back_deterministically():
     assert drain_times[1] - drain_times[0] >= 2.0  # cooldown respected
     availability = node.telemetry.availability("eg")
     assert availability["time-to-scale-seconds"] is not None
+    # Within four control intervals (1 s each): decision to convergence,
+    # and overload onset (t = 0) to all three replicas live.
+    assert 0 < availability["time-to-scale-seconds"] <= 4 * 1.0
+    assert next(t for t, count in trace if count == 3) <= 4 * 1.0
     assert loop.last_error == ""
     # While scaled out, traffic really was hash-split with affinity:
     # every replica carried load at the peak.

@@ -165,6 +165,24 @@ class TestEsp:
         with pytest.raises(ReplayError):
             esp_decapsulate(in_sa, outer)
 
+    def test_mismatched_psk_fails_authentication(self):
+        """Endpoints configured with different pre-shared keys derive
+        different SAs under the same SPI: the tunnel comes up, but
+        every packet fails the ICV check."""
+        spi = 0x1001
+        enc_a, auth_a = derive_keys(b"alpha", b"ni", b"nr", spi)
+        enc_b, auth_b = derive_keys(b"beta", b"ni", b"nr", spi)
+        assert enc_a != enc_b and auth_a != auth_b
+        sender = SecurityAssociation(spi=spi, src="203.0.113.1",
+                                     dst="203.0.113.2", enc_key=enc_a,
+                                     auth_key=auth_a)
+        receiver = SecurityAssociation(spi=spi, src="203.0.113.1",
+                                       dst="203.0.113.2", enc_key=enc_b,
+                                       auth_key=auth_b)
+        outer = esp_encapsulate(sender, inner_packet())
+        with pytest.raises(EspError, match="ICV"):
+            esp_decapsulate(receiver, outer)
+
     def test_wrong_sa_rejected(self):
         out_sa = make_sa(spi=0x1001)
         other = make_sa(spi=0x2002)
