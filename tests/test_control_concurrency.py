@@ -233,32 +233,6 @@ class TestShardedLoopDeterminism:
 
         assert run_once() == run_once()
 
-    def test_fleet_converges_in_one_productive_step(self):
-        """A tick executes a graph's whole plan, so one productive
-        ``step()`` converges a mass deploy of a sharded fleet, and one
-        more a reconfigure round over a subset; the step after each
-        executes nothing."""
-        node = _big_node()
-        loop = ControlLoop(node.orchestrator, node.telemetry, shards=4)
-        reconciler = node.orchestrator.reconciler
-        graph_ids = [f"g{i:02d}" for i in range(24)]
-        for graph_id in graph_ids:
-            reconciler.set_desired(_graph(graph_id))
-        assert loop.step()["steps-executed"] > 0
-        assert loop.step()["steps-executed"] == 0
-        for graph_id in graph_ids[::3]:
-            reconciler.set_desired(_graph(graph_id, rounds="1"))
-        assert loop.step()["steps-executed"] > 0
-        assert loop.step()["steps-executed"] == 0
-        journal = reconciler.journal
-        assert isinstance(journal, ShardedEventJournal)
-        assert set(graph_ids) <= set(journal.graphs())
-        assert {shard_of_graph(g, 4) for g in graph_ids} == {0, 1, 2, 3}
-        for graph_id in graph_ids:
-            assert node.orchestrator.status(graph_id)["converged"]
-            assert journal.dropped_count(graph_id) == 0
-        assert loop.tick_errors == 0, loop.last_error
-
     def test_thread_mode_shard_pool_converges_fleet(self):
         node = _big_node()
         loop = ControlLoop(node.orchestrator, node.telemetry,

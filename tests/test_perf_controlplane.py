@@ -1,96 +1,141 @@
-"""Control-plane churn harness: tier-1 smoke + the perf-marked bench.
+"""Control-plane fleet gates: one-tick convergence, durable policies, journal.
 
-The ``perf``-marked test is the 1k-graph churn entry point: it writes
-``BENCH_controlplane.json`` next to the dataplane artifact (the
-directory of ``--bench-json``) and asserts :func:`check_results` — in
-``--quick`` mode it runs the same scenario at the CI smoke size and
-leaves the artifact untouched.  The unmarked tests keep the harness
-and its gates covered in tier-1 with the quick fleet.
+A sharded fleet is deployed declaratively (``set_desired``, exactly
+what a REST burst does), part of it is re-PUT without its scaling
+policies, and reconfigure rounds rewrite a third of it at a time.  The
+loop is stepped directly, which ticks the shard partitions round-robin,
+so every figure is exact.  Tick latency is ``nfbench``'s job
+(``control-churn``).  :func:`_check_fleet` asserts; the ``*_catch_*``
+tests inject one regression each with ``monkeypatch`` and show it
+fails.
 """
-
-import json
-import os
 
 import pytest
 
-from repro.perf.controlplane import (
-    CONTROLPLANE_MAX_CONVERGE_TICKS,
-    check_results,
-    run_controlplane_bench,
-)
-from repro.perf.dataplane import write_bench_json
+from repro.core.orchestrator import LocalOrchestrator
+from repro.core.reconciler import Reconciler, ShardedEventJournal, \
+    shard_of_graph
+from repro.telemetry import Autoscaler, ControlLoop
+
+from tests.test_control_concurrency import _big_node, _graph
+
+GRAPHS = 24
+SHARDS = 4
+#: Every this-many-th graph carries a persisted scaling policy.
+POLICY_EVERY = 6
 
 
-@pytest.fixture(scope="module")
-def quick_results():
-    return run_controlplane_bench(quick=True)
+def _fleet_graph(index, rounds="0"):
+    graph = _graph(f"g{index:02d}", rounds=rounds)
+    if index % POLICY_EVERY == 0:
+        graph.add_policy("fw", target_pps=10000.0, max_replicas=2)
+    return graph
 
 
-def test_quick_fleet_converges_and_gates(quick_results):
-    """The tier-1 smoke leg: the quick fleet deploys, churns and
-    converges within the exact tick gates, policies survive re-PUTs,
-    and nothing is dropped from the sharded journal."""
-    assert quick_results["meta"]["quick"] is True
-    assert quick_results["deploy"]["ticks_to_converge"] <= \
-        CONTROLPLANE_MAX_CONVERGE_TICKS
-    assert quick_results["journal"]["sharded"] is True
-    check_results(quick_results)
-    json.dumps(quick_results)  # JSON-clean
+def _converge(loop, what):
+    """Step until a step executes nothing; returns the productive steps.
 
-
-def test_gates_catch_convergence_regression(quick_results):
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["deploy"]["ticks_to_converge"] = 7
-    with pytest.raises(AssertionError, match="productive ticks"):
-        check_results(doctored)
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["churn_rounds"][0]["converged"] = False
-    with pytest.raises(AssertionError, match="never converged"):
-        check_results(doctored)
-
-
-def test_gates_catch_policy_and_journal_regressions(quick_results):
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["policies"]["preserved_after_replut"] = 0
-    with pytest.raises(AssertionError, match="persisted policies"):
-        check_results(doctored)
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["journal"]["dropped_total"] = 12
-    with pytest.raises(AssertionError, match="journal events dropped"):
-        check_results(doctored)
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["tick_errors"] = 2
-    with pytest.raises(AssertionError, match="tick error"):
-        check_results(doctored)
-
-
-def test_gates_catch_latency_regression(quick_results):
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["tick_latency"]["mean_per_graph_s"] = 1.0
-    with pytest.raises(AssertionError, match="ms/graph"):
-        check_results(doctored)
-
-
-@pytest.mark.perf
-def test_controlplane_churn_bench(request):
-    """The 1k-graph churn bench; writes ``BENCH_controlplane.json``.
-
-    With ``--quick`` the fleet shrinks to the smoke size, the same
-    gates run, and the artifact is left untouched (trajectory files
-    always come from full runs).
+    A tick executes a graph's whole plan, so a fleet-wide change takes
+    exactly one productive step.
     """
-    quick = request.config.getoption("--quick")
-    results = run_controlplane_bench(quick=quick)
-    print(f"\n{results['graphs']} graphs / {results['shards']} shards: "
-          f"deploy {results['deploy']['ticks_to_converge']} tick(s) in "
-          f"{results['deploy']['total_seconds']:.2f}s, mean tick "
-          f"{results['tick_latency']['mean_per_graph_s'] * 1e6:.0f} "
-          f"us/graph")
-    if not quick:
-        bench_dir = os.path.dirname(
-            request.config.getoption("--bench-json")) or "."
-        path = os.path.join(bench_dir, "BENCH_controlplane.json")
-        write_bench_json(results, path)
-        print(f"wrote {path}")
-        assert os.path.exists(path)
-    check_results(results)
+    for productive in range(10):
+        executed = loop.step()["steps-executed"]
+        assert loop.tick_errors == 0, (
+            f"the loop absorbed {loop.tick_errors} tick error(s), last: "
+            f"{loop.last_error!r}")
+        if executed == 0:
+            assert productive == 1, (
+                f"{what} took {productive} productive ticks (expected 1)")
+            return
+    raise AssertionError(f"{what} did not converge in 10 productive ticks")
+
+
+def _check_fleet():
+    node = _big_node()
+    reconciler = node.orchestrator.reconciler
+    loop = ControlLoop(node.orchestrator, node.telemetry, shards=SHARDS,
+                       autoscaler=Autoscaler(reconciler=reconciler,
+                                             registry=node.telemetry))
+    indices = range(GRAPHS)
+    graph_ids = [f"g{i:02d}" for i in indices]
+    for index in indices:
+        reconciler.set_desired(_fleet_graph(index))
+    _converge(loop, "mass deploy")
+
+    # A plain NF-FG re-PUT carries no policies and must not drop them.
+    policy_ids = graph_ids[::POLICY_EVERY]
+    for graph_id in policy_ids:
+        node.update(_graph(graph_id))
+    kept = [g for g in policy_ids if reconciler.desired_raw[g].policies]
+    assert kept == policy_ids, (
+        f"only {len(kept)}/{len(policy_ids)} graphs kept their persisted "
+        "policies across a plain re-PUT")
+
+    for round_no in (1, 2):
+        for index in indices[round_no::3]:
+            reconciler.set_desired(_fleet_graph(index, rounds=str(round_no)))
+        _converge(loop, f"reconfigure round {round_no}")
+
+    journal = reconciler.journal
+    assert isinstance(journal, ShardedEventJournal)
+    assert set(graph_ids) <= set(journal.graphs())
+    assert {shard_of_graph(g, SHARDS) for g in graph_ids} == \
+        set(range(SHARDS))
+    dropped = sum(journal.dropped_count(g) for g in graph_ids)
+    assert dropped == 0, f"{dropped} journal events dropped"
+    for graph_id in graph_ids:
+        assert node.orchestrator.status(graph_id)["converged"], graph_id
+    assert not loop.last_error
+
+
+def test_quick_fleet_converges_and_gates():
+    _check_fleet()
+
+
+def test_gates_catch_convergence_regression(monkeypatch):
+    """A plan split across ticks (one step per tick) misses the
+    one-productive-tick gate."""
+    original = Reconciler.plan
+
+    def one_step_per_tick(reconciler, graph_id):
+        plan = original(reconciler, graph_id)
+        del plan.steps[1:]
+        return plan
+
+    monkeypatch.setattr(Reconciler, "plan", one_step_per_tick)
+    with pytest.raises(AssertionError, match="productive ticks"):
+        _check_fleet()
+
+
+def test_gates_catch_policy_and_journal_regressions(monkeypatch):
+    """An update that replaces policies wholesale, journal rings too
+    small for the churn, and a failing health probe each fail their
+    gate."""
+    def update_dropping_policies(orchestrator, new_graph):
+        orchestrator.reconciler.set_desired(new_graph)
+        orchestrator.reconciler.reconcile(new_graph.graph_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LocalOrchestrator, "update", update_dropping_policies)
+        with pytest.raises(AssertionError, match="persisted policies"):
+            _check_fleet()
+
+    original_journal = ShardedEventJournal.__init__
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardedEventJournal, "__init__",
+                      lambda journal, **kwargs: original_journal(
+                          journal, **{**kwargs, "max_events": 3}))
+        with pytest.raises(AssertionError, match="journal events dropped"):
+            _check_fleet()
+
+    original_probe = Reconciler.check_health
+
+    def probe_failing_on_g05(reconciler, graph_id):
+        if graph_id == "g05":
+            raise RuntimeError("injected: health probe crashed")
+        return original_probe(reconciler, graph_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Reconciler, "check_health", probe_failing_on_g05)
+        with pytest.raises(AssertionError, match="tick error"):
+            _check_fleet()
