@@ -15,7 +15,6 @@ import pytest
 from benchmarks.conftest import print_block
 from repro.catalog.templates import Technology
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.pipeline import Stage, measure_throughput
 
 LENGTHS = (1, 2, 3, 4, 6)
 FLAVORS = (Technology.NATIVE, Technology.DOCKER, Technology.VM)
@@ -29,8 +28,7 @@ def chain_throughput(technology: Technology, length: int) -> float:
                                  technology is not Technology.VM))
             for _ in range(length)]
     chain = model.chain_seconds(hops)
-    return measure_throughput([Stage("chain", chain.total)],
-                              duration=0.05).throughput_mbps
+    return CostModel.throughput_mbps(chain.total, 1500)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from repro import ComputeNode, Nffg
 from repro.catalog.templates import Technology
 from repro.net import MacAddress, make_udp_frame, parse_frame
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.pipeline import Stage, measure_throughput
 
 CLIENT = MacAddress("02:aa:00:00:00:01")
 REMOTE = MacAddress("02:aa:00:00:00:02")
@@ -69,10 +68,8 @@ def overhead_percent(tagged: bool, marking_rules: int) -> float:
     with_marking = model.chain_seconds([model.nf_seconds(
         Technology.NATIVE, NfWorkload.nat(), 1500,
         marking_rules=marking_rules, tagged_port=tagged)])
-    slow = measure_throughput([Stage("c", with_marking.total)],
-                              duration=0.05).throughput_mbps
-    fast = measure_throughput([Stage("c", base.total)],
-                              duration=0.05).throughput_mbps
+    slow = CostModel.throughput_mbps(with_marking.total, 1500)
+    fast = CostModel.throughput_mbps(base.total, 1500)
     return 100.0 * (fast - slow) / fast
 
 

@@ -18,7 +18,6 @@ from benchmarks.conftest import print_block
 from repro import ComputeNode, Nffg
 from repro.catalog.templates import Technology
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.pipeline import Stage, measure_throughput
 
 K_GRAPHS = 4
 
@@ -60,8 +59,7 @@ def shared_throughput_mbps(k: int) -> float:
     nf = model.nf_seconds(Technology.NATIVE, NfWorkload.nat(), 1500,
                           marking_rules=k, tagged_port=True)
     chain = model.chain_seconds([nf])
-    return measure_throughput([Stage("chain", chain.total)],
-                              duration=0.1).throughput_mbps
+    return CostModel.throughput_mbps(chain.total, 1500)
 
 
 @pytest.fixture(scope="module")

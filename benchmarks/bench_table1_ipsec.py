@@ -1,7 +1,8 @@
 """Table 1 — IPsec client NF as KVM/QEMU vs Docker vs Native NF.
 
 Regenerates every cell of the paper's Table 1 (max throughput, runtime
-RAM, image size) from the deployed system + calibrated models, prints
+RAM, image size) from the deployed system + calibrated models (the
+throughput column is the cost model's closed form), prints
 the paper-vs-measured table, and asserts the result *shape*:
 
 * the VM flavor is markedly slowest (paper ratio 796/1094 = 0.73);
@@ -22,16 +23,16 @@ from repro.perf.table1 import (
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    rows = run_table1(duration=0.2)
+    rows = run_table1()
     print_block("Table 1: IPsec endpoint, three flavors",
                 render_table(rows))
     return {row.flavor: row for row in rows}
 
 
 def test_table1_benchmark(benchmark, table1_rows):
-    """Times one full Table 1 regeneration (3 deployments + DES runs)
+    """Times one full Table 1 regeneration (3 deployments + probes)
     and asserts the shape inline so --benchmark-only runs validate too."""
-    rows = benchmark(run_table1, duration=0.05)
+    rows = benchmark(run_table1)
     assert len(rows) == 3
     by_flavor = {row.flavor: row for row in rows}
     vm, docker, native = (by_flavor["vm"], by_flavor["docker"],

@@ -17,7 +17,7 @@ from repro.perf.table1 import render_table, run_table1
 def main() -> None:
     print("Reproducing Table 1 (three deployments + calibrated cost "
           "model)...\n")
-    rows = run_table1(duration=0.2)
+    rows = run_table1()
     print(render_table(rows))
     print()
     for row in rows:

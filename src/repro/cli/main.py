@@ -2,8 +2,10 @@
 
 Subcommands::
 
-    repro table1 [--frame-bytes N] [--duration S]
-        Reproduce the paper's Table 1 and print paper-vs-measured.
+    repro table1 [--frame-bytes N]
+        Reproduce the paper's Table 1 and print paper-vs-reproduced;
+        exits 1 if any flavour's probe frame is lost or leaves the WAN
+        in cleartext.
 
     repro deploy GRAPH.json [--show-flows]
         Deploy an NF-FG JSON document on a fresh CPE node and print
@@ -64,6 +66,13 @@ from repro.nffg.validate import NffgValidationError, validate_nffg
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -72,9 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table1 = sub.add_parser("table1", help="reproduce the paper's Table 1")
-    table1.add_argument("--frame-bytes", type=int, default=1500)
-    table1.add_argument("--duration", type=float, default=0.2,
-                        help="simulated seconds per measurement")
+    table1.add_argument("--frame-bytes", type=_positive_int, default=1500)
 
     deploy = sub.add_parser("deploy", help="deploy an NF-FG JSON document")
     deploy.add_argument("graph", help="path to the NF-FG JSON file")
@@ -141,9 +148,10 @@ def _fresh_node() -> ComputeNode:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.perf.table1 import render_table, run_table1
-    rows = run_table1(frame_bytes=args.frame_bytes, duration=args.duration)
+    rows = run_table1(frame_bytes=args.frame_bytes)
     print(render_table(rows))
-    bad = [row.flavor for row in rows if not row.probe_delivered]
+    bad = [f"{row.flavor} ({'cleartext' if row.probe_delivered else 'lost'})"
+           for row in rows if not (row.probe_delivered and row.esp_on_wire)]
     if bad:
         print(f"warning: dataplane probe failed for: {', '.join(bad)}",
               file=sys.stderr)

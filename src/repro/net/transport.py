@@ -1,9 +1,9 @@
 """UDP and (simplified) TCP segment codecs.
 
-The iperf-like measurement tool uses these; TCP here carries the fields
-needed for connection tracking (iptables NAT) and throughput accounting,
-with real header packing but no retransmission machinery — the DES models
-loss-free virtual links inside one node, as in the paper's testbed.
+TCP here carries the fields needed for connection tracking (iptables
+NAT) and throughput accounting, with real header packing but no
+retransmission machinery — virtual links inside one node are loss-free,
+as in the paper's testbed.
 """
 
 from __future__ import annotations

@@ -180,4 +180,6 @@ class CostModel:
         """Closed-form throughput of one saturated core."""
         if per_packet_seconds <= 0:
             raise ValueError("per-packet time must be positive")
+        if frame_bytes <= 0:
+            raise ValueError("frame size must be positive")
         return frame_bytes * 8.0 / per_packet_seconds / 1e6

@@ -1,12 +1,12 @@
 """The Table 1 experiment: strongSwan as VM vs Docker vs Native NF.
 
 For each flavor the driver deploys the paper's use case on a fresh CPE
-node (an IPsec endpoint between the LAN and WAN), probes the live
-dataplane with a real frame (the ESP tunnel must actually encrypt), and
-then measures iPerf-style throughput from the calibrated cost model.
-RAM comes from the memory decomposition, image size from the image
-registry composition — nothing in this module hard-codes a Table 1
-cell.
+node (an IPsec endpoint between the LAN and WAN) and probes the live
+dataplane with a real frame (the ESP tunnel must actually encrypt).
+The throughput column is modelled: the closed-form throughput of the
+chain's calibrated per-packet cost. RAM comes from the memory
+decomposition, image size from the image registry composition —
+nothing in this module hard-codes a Table 1 cell.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.catalog.templates import Technology
 from repro.core.node import ComputeNode
 from repro.nffg.model import Nffg
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.iperf import run_iperf
 from repro.perf.memory import MemoryModel
 from repro.resources.images import ImageRegistry
 
@@ -100,7 +99,7 @@ def _probe_esp(node: ComputeNode) -> tuple[bool, bool]:
     return True, esp
 
 
-def run_table1(frame_bytes: int = 1500, duration: float = 0.2,
+def run_table1(frame_bytes: int = 1500,
                cost_model: "CostModel | None" = None) -> list[Table1Row]:
     """Run the full experiment; one row per flavor."""
     model = cost_model if cost_model is not None else CostModel()
@@ -121,16 +120,15 @@ def run_table1(frame_bytes: int = 1500, duration: float = 0.2,
             technology, workload, frame_bytes,
             uses_kernel_datapath=impl.uses_kernel_datapath)
         chain = model.chain_seconds([nf_cost], lsi_crossings=1)
-        measured = run_iperf(chain, frame_bytes=frame_bytes,
-                             duration=duration)
         rows.append(Table1Row(
             flavor=technology.value,
-            throughput_mbps=measured.throughput_mbps,
+            throughput_mbps=CostModel.throughput_mbps(chain.total,
+                                                      frame_bytes),
             ram_mb=memory.runtime_mb(technology, STRONGSWAN_RSS_MB),
             image_mb=images.get(_IMAGES[technology]).size_mb,
             probe_delivered=delivered,
             esp_on_wire=esp,
-            breakdown=measured.breakdown))
+            breakdown=dict(chain.components)))
     return rows
 
 

@@ -1,8 +1,10 @@
 """Discrete-event simulation engine.
 
-Every dynamic component of the reproduced NFV compute node (switch
-datapaths, network-function processes, traffic generators) runs as a
-process on this engine.  The engine is a classic event-wheel design:
+The engine supplies virtual time: the control loop
+(``ControlLoop.run_sim``) can run as a process on it, so time-to-scale
+and MTTR replay deterministically in tests and examples.  The
+dataplane does not run on it; frames are forwarded synchronously.  The
+engine is a classic event-wheel design:
 
 * :class:`~repro.sim.engine.Simulator` owns a priority queue of timed
   events and a monotonically advancing virtual clock.
@@ -11,8 +13,10 @@ process on this engine.  The engine is a classic event-wheel design:
   :class:`~repro.sim.engine.Event`, ...), in the style popularised by
   SimPy, but implemented from scratch so the repository has no runtime
   dependencies.
-* :mod:`repro.sim.stats` provides time-weighted counters used by the
-  measurement harness.
+* :mod:`repro.sim.resources` (capacity-limited resources, containers,
+  FIFO stores) and :mod:`repro.sim.stats` (counters, rate meters,
+  time-weighted statistics) are generic engine primitives; nothing in
+  ``src/`` uses them.
 """
 
 from repro.sim.engine import (

@@ -181,8 +181,8 @@ class Datapath:
         self.carried: list = [None, 0]
         #: Chain-fusion engine for chains whose *ingress* is this LSI
         #: (see :mod:`repro.switch.fusion`).  On by default; the
-        #: differential oracle and the perf sweep's per-hop leg pin
-        #: ``fusion.enabled = False`` per instance.
+        #: differential oracle, the dataplane gate tests and nfbench's
+        #: reference replay pin ``fusion.enabled = False`` per instance.
         self.fusion = FusionEngine(self)
         #: Per-flow state tables consulted by stateful select-output
         #: actions (``SelectOutput.group``); see
@@ -640,9 +640,9 @@ class Datapath:
                             deliver: Optional[EmitFn] = None) -> None:
         """Reference action interpreter: per-frame type dispatch.
 
-        Kept as the semantic baseline for the compiled closures — the
-        perf sweep times it and ``tests/test_compiled_actions.py``
-        asserts both paths produce identical emissions and counters.
+        Kept as the semantic baseline for the compiled closures —
+        ``tests/test_compiled_actions.py`` asserts both paths produce
+        identical emissions and counters.
         It is also the right path for one-shot action lists (OpenFlow
         packet-out), which would waste a compile per message.
         """

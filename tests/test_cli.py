@@ -26,10 +26,26 @@ def nat_graph_json() -> str:
 
 
 def test_table1_command(capsys):
-    assert main(["table1", "--duration", "0.02"]) == 0
+    assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "KVM/QEMU" in out and "Native NF" in out
     assert "796" in out  # paper column present
+
+
+def test_table1_rejects_non_positive_frame_bytes(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", "--frame-bytes", "0"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--frame-bytes" in err and "Traceback" not in err
+
+
+def test_table1_fails_when_probe_leaves_wan_in_cleartext(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr("repro.perf.table1._probe_esp",
+                        lambda node: (True, False))
+    assert main(["table1"]) == 1
+    assert "vm (cleartext)" in capsys.readouterr().err
 
 
 def test_node_command(capsys):

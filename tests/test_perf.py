@@ -1,15 +1,12 @@
-"""Cost model, pipeline, memory model and Table 1 driver tests."""
+"""Cost model, memory model and Table 1 driver tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog.templates import Technology
 from repro.perf.costmodel import CostModel, NfWorkload
-from repro.perf.iperf import run_iperf
 from repro.perf.memory import MemoryModel
-from repro.perf.pipeline import PacketPipeline, Stage, measure_throughput
 from repro.perf.table1 import PAPER_TABLE1, ipsec_cpe_graph, run_table1
-from repro.sim import Simulator
 
 
 class TestCostModel:
@@ -63,6 +60,8 @@ class TestCostModel:
             1000.0)
         with pytest.raises(ValueError):
             CostModel.throughput_mbps(0.0, 1500)
+        with pytest.raises(ValueError):
+            CostModel.throughput_mbps(12e-6, 0)
 
     @given(st.integers(min_value=64, max_value=9000))
     @settings(max_examples=25)
@@ -72,60 +71,6 @@ class TestCostModel:
         small = model.nf_seconds(Technology.NATIVE, workload, 64)
         big = model.nf_seconds(Technology.NATIVE, workload, frame_bytes)
         assert big.total >= small.total
-
-
-class TestPipeline:
-    def test_des_matches_closed_form(self):
-        service = 10e-6
-        result = measure_throughput([Stage("s", service)],
-                                    frame_bytes=1500, duration=0.2)
-        expected = CostModel.throughput_mbps(service, 1500)
-        assert result.throughput_mbps == pytest.approx(expected, rel=0.02)
-
-    def test_two_flows_share_the_core_fairly(self):
-        sim = Simulator()
-        pipeline = PacketPipeline(sim, cores=1)
-        pipeline.add_flow("a", [Stage("s", 10e-6)])
-        pipeline.add_flow("b", [Stage("s", 10e-6)])
-        a, b = pipeline.run(duration=0.2)
-        solo = measure_throughput([Stage("s", 10e-6)],
-                                  duration=0.2).throughput_mbps
-        assert a.throughput_mbps == pytest.approx(solo / 2, rel=0.05)
-        assert b.throughput_mbps == pytest.approx(a.throughput_mbps,
-                                                  rel=0.05)
-
-    def test_second_core_doubles_aggregate(self):
-        sim = Simulator()
-        pipeline = PacketPipeline(sim, cores=2)
-        pipeline.add_flow("a", [Stage("s", 10e-6)])
-        pipeline.add_flow("b", [Stage("s", 10e-6)])
-        a, b = pipeline.run(duration=0.2)
-        solo = measure_throughput([Stage("s", 10e-6)],
-                                  duration=0.2).throughput_mbps
-        assert a.throughput_mbps == pytest.approx(solo, rel=0.05)
-        assert b.throughput_mbps == pytest.approx(solo, rel=0.05)
-
-    def test_latency_includes_queueing(self):
-        sim = Simulator()
-        pipeline = PacketPipeline(sim, cores=1)
-        pipeline.add_flow("a", [Stage("s", 10e-6)], window=4)
-        (result,) = pipeline.run(duration=0.1)
-        # 4 in flight on one 10us server: ~40us sojourn each.
-        assert result.mean_latency_seconds == pytest.approx(40e-6,
-                                                            rel=0.1)
-
-    def test_validation(self):
-        sim = Simulator()
-        pipeline = PacketPipeline(sim)
-        with pytest.raises(ValueError):
-            pipeline.add_flow("x", [])
-        with pytest.raises(ValueError):
-            pipeline.add_flow("x", [Stage("s", 1e-6)], frame_bytes=0)
-        with pytest.raises(ValueError):
-            Stage("bad", -1.0)
-        pipeline.add_flow("ok", [Stage("s", 1e-6)])
-        with pytest.raises(ValueError):
-            pipeline.run(duration=0.01, warmup=0.02)
 
 
 class TestMemoryModel:
@@ -154,28 +99,29 @@ class TestMemoryModel:
 
 
 class TestIperfAndTable1:
-    def test_run_iperf_reports_breakdown(self):
-        model = CostModel()
-        chain = model.chain_seconds([model.nf_seconds(
-            Technology.NATIVE, NfWorkload.nat(), 1500)])
-        result = run_iperf(chain, duration=0.05)
-        assert result.throughput_mbps > 0
-        assert "kernel-stack" in result.breakdown
-        assert result.probe_delivered  # no node given: vacuously true
-
     def test_ipsec_graph_is_valid(self):
         from repro.nffg.validate import validate_nffg
         validate_nffg(ipsec_cpe_graph("x", "native"))
 
     def test_table1_rows_complete(self):
-        rows = run_table1(duration=0.05)
-        assert [row.flavor for row in rows] == ["vm", "docker", "native"]
-        for row in rows:
-            assert row.probe_delivered and row.esp_on_wire
-            assert row.throughput_mbps > 0
+        only_in = {"vm-exits": "vm", "guest-copies": "vm",
+                   "veth-hop": "docker"}
+        for frame_bytes in (64, 1500, 9000):
+            rows = run_table1(frame_bytes=frame_bytes)
+            assert [row.flavor for row in rows] == ["vm", "docker", "native"]
+            for row in rows:
+                assert row.probe_delivered and row.esp_on_wire
+                assert row.throughput_mbps > 0
+                # Throughput is exactly attributable to its breakdown.
+                assert row.throughput_mbps == pytest.approx(
+                    CostModel.throughput_mbps(sum(row.breakdown.values()),
+                                              frame_bytes), rel=1e-12)
+                assert "kernel-stack" in row.breakdown
+                for name, flavor in only_in.items():
+                    assert (name in row.breakdown) == (row.flavor == flavor)
 
     def test_table1_shape_holds(self):
-        rows = {row.flavor: row for row in run_table1(duration=0.05)}
+        rows = {row.flavor: row for row in run_table1()}
         assert rows["vm"].throughput_mbps < rows["docker"].throughput_mbps
         assert rows["vm"].ram_mb > rows["docker"].ram_mb \
             > rows["native"].ram_mb
