@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -70,6 +71,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (0 < value and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value:g}")
     return value
 
 
@@ -92,10 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="serve the REST API on localhost")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--interval", type=float, default=1.0,
+    serve.add_argument("--interval", type=_positive_seconds, default=1.0,
                        help="control-loop period in seconds "
                             "(tick + sample + autoscale)")
-    serve.add_argument("--shards", type=int, default=2,
+    serve.add_argument("--shards", type=_positive_int, default=2,
                        help="reconcile-loop worker shards "
                             "(graphs hash to a shard; 1 disables)")
     serve.add_argument("--no-loop", action="store_true",
@@ -122,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "top", help="per-NF load/replica/availability view of a node")
     top.add_argument("--url", default="http://127.0.0.1:8080",
                      help="base URL of the node's REST API")
-    top.add_argument("--watch", type=float, default=None, metavar="SECONDS",
+    top.add_argument("--watch", type=_positive_seconds, default=None,
+                     metavar="SECONDS",
                      help="redraw every SECONDS until interrupted")
     top.add_argument("--timeout", type=float, default=30.0,
                      help="HTTP timeout in seconds")
@@ -204,11 +214,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 registry=node.telemetry)
         loop = ControlLoop(node.orchestrator, node.telemetry,
                            autoscaler=autoscaler, interval=args.interval,
-                           shards=max(1, args.shards)).start()
+                           shards=args.shards).start()
     server = serve_node(node, port=args.port)
     loop_note = ("no control loop" if loop is None else
                  f"control loop every {args.interval:g}s, "
-                 f"{max(1, args.shards)} shard(s)")
+                 f"{args.shards} shard(s)")
     print(f"serving node {node.name!r} on {server.url} "
           f"({loop_note}; Ctrl-C to stop)")
     try:

@@ -121,8 +121,9 @@ class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # Written so NaN fails too: a NaN clock never passes ``until``.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._value = value
@@ -327,8 +328,8 @@ class Simulator:
 
         Returns the simulation time at which the run stopped.  With an
         ``until`` bound the clock is advanced exactly to the bound even
-        when the last event fires earlier, so back-to-back measurement
-        windows tile without gaps.
+        when the last event fires earlier, so control-loop tests read
+        the clock exactly at the bound.
         """
         if until is not None and until < self._now:
             raise ValueError(

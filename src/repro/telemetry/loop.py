@@ -36,6 +36,7 @@ sharded journal paths.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,8 +59,9 @@ class ControlLoop:
                  autoscaler: Optional[Autoscaler] = None,
                  interval: float = 1.0,
                  shards: int = 1) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        if not (0 < interval and math.isfinite(interval)):
+            raise ValueError(
+                f"interval must be positive and finite, got {interval}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.orchestrator = orchestrator

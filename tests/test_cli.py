@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli.main import main
+from repro.cli.main import _build_parser, main
 from repro.nffg.json_codec import nffg_to_json
 from repro.nffg.model import Nffg
 
@@ -46,6 +46,22 @@ def test_table1_fails_when_probe_leaves_wan_in_cleartext(monkeypatch,
                         lambda node: (True, False))
     assert main(["table1"]) == 1
     assert "vm (cleartext)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    (option, value)
+    for option in ("--interval", "--watch")
+    for value in ("0", "-1", "nan", "inf")
+] + [("--shards", "0"), ("--shards", "-1")])
+def test_period_and_shard_options_reject_bad_values(option, value, capsys):
+    command = "top" if option == "--watch" else "serve"
+    # The parser, not main: main would start a server if a bad value
+    # got through.
+    with pytest.raises(SystemExit) as excinfo:
+        _build_parser().parse_args([command, option, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
 
 
 def test_node_command(capsys):

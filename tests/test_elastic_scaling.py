@@ -358,8 +358,11 @@ def test_loop_thread_driver_converges_too():
         loop.stop()
     assert loop.iterations >= 3
     assert loop.last_error == ""
-    with pytest.raises(ValueError):
-        ControlLoop(node.orchestrator, node.telemetry, interval=0)
+    # NaN would spin the thread driver (Event.wait(nan) returns at
+    # once); inf would kill it with OverflowError.
+    for bad in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ControlLoop(node.orchestrator, node.telemetry, interval=bad)
 
 
 # -- scale-out/in keeps untouched state ---------------------------------------------

@@ -22,6 +22,11 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
+    # A NaN delay would turn the clock into NaN, and run(until=...)
+    # would then never return.
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    assert sim.peek() == float("inf")
 
 
 def test_events_fire_in_time_order():
