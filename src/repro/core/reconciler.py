@@ -87,7 +87,7 @@ class GraphLockRegistry:
 
     The control plane's concurrency unit is the graph: REST handler
     threads (deploy/update/undeploy/reconcile), the control loop's tick
-    workers and the fleet layer all serialize *per graph_id* — two
+    workers and the autoscaler all serialize *per graph_id* — two
     callers touching different graphs never contend, two touching the
     same graph never interleave.  Locks are reentrant because the call
     graph nests (``deploy`` -> ``reconcile`` -> ``tick`` all take the
@@ -170,10 +170,10 @@ class EventJournal:
     sim-mode control loop, which is what makes journal-derived
     availability metrics (MTTR) deterministic under test.
 
-    Appends are thread-safe: REST handler threads, control-loop shard
-    workers and the fleet layer all journal concurrently, and the
-    ring-full check (``len(log) == max_events``) racing the append used
-    to undercount drops.  One mutex per journal covers the
+    Appends are thread-safe: REST handler threads and control-loop shard
+    workers journal concurrently, and the ring-full check
+    (``len(log) == max_events``) racing the append used to undercount
+    drops.  One mutex per journal covers the
     check-then-append and the dropped-counter increment as a unit; the
     read side snapshots under the same mutex so an export never sees a
     half-applied eviction.  ``seq`` may be a shared counter so several
@@ -553,7 +553,7 @@ class Reconciler:
         self.images = images
         self.journal = journal if journal is not None else EventJournal()
         #: per-graph reentrant locks — REST handler threads, control-loop
-        #: shard workers and the fleet layer all serialize through these
+        #: shard workers and the autoscaler all serialize through these
         #: (see :meth:`lock`); no global lock on the *read/plan* path.
         self.locks = GraphLockRegistry()
         #: node-wide mutex for plan *execution* only: structural steps
@@ -574,20 +574,12 @@ class Reconciler:
         self.ticks_run = 0
         self.failures_detected = 0
         self.heals = 0
-        #: node-local heal-failure ceiling: once an NF's failed heal
-        #: attempts reach this, the engine calls :attr:`escalation`
-        #: (the fleet layer's hook) so the whole graph can be re-placed
-        #: on another node — one level above restart -> recreate.
-        self.escalate_after = 3
-        #: ``escalation(graph_id, nf_id, detail)`` — set by
-        #: :meth:`repro.core.multinode.MultiNodeOrchestrator.add_node`.
-        self.escalation: Optional[Callable[[str, str, str], None]] = None
         #: Optional :class:`repro.telemetry.tracing.Tracer` (wired by
         #: :class:`~repro.core.node.ComputeNode`).  Plan/step latency
         #: histograms, step spans carrying their journal seq, and the
-        #: heal / heal-escalated anomaly triggers all hang off it; every
-        #: hook is ``if tracer is not None``-guarded so bare reconciler
-        #: tests and the control-plane bench pay nothing.
+        #: heal anomaly trigger all hang off it; every hook is
+        #: ``if tracer is not None``-guarded so bare reconciler tests and
+        #: the control-plane bench pay nothing.
         self.tracer = None
 
     # -- locking -----------------------------------------------------------------
@@ -1049,21 +1041,8 @@ class Reconciler:
                         # counter is live, those failures are still
                         # heal failures.
                         or key in self._heal_attempts):
-                    attempts = self._heal_attempts.get(key, 0) + 1
-                    self._heal_attempts[key] = attempts
-                    if attempts == self.escalate_after \
-                            and self.escalation is not None:
-                        event = self.journal.append(
-                            graph_id, "heal-escalated", nf_id=step.nf_id,
-                            detail=f"{attempts} failed heal attempts; "
-                                   f"deferring to the fleet layer")
-                        if tracer is not None:
-                            tracer.anomaly(
-                                "heal-escalated",
-                                detail=f"{step.nf_id}: {attempts} failed "
-                                       f"heal attempts",
-                                seq=event.seq, graph_id=graph_id)
-                        self.escalation(graph_id, step.nf_id, str(exc))
+                    self._heal_attempts[key] = \
+                        self._heal_attempts.get(key, 0) + 1
                 break
             step.status = "done"
             event = self.journal.append(graph_id, "step-ok",

@@ -14,6 +14,7 @@ alignment applies).
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.ipsec.crypto import KeystreamCipher, hmac_sha256
@@ -77,7 +78,7 @@ def esp_decapsulate(sa: SecurityAssociation,
         raise EspError("ESP payload too short")
     body, icv = payload[:-_ICV_LEN], payload[-_ICV_LEN:]
     expected = hmac_sha256(sa.auth_key, body)[:_ICV_LEN]
-    if not _constant_time_eq(icv, expected):
+    if not hmac.compare_digest(icv, expected):
         raise EspError("ESP ICV mismatch (authentication failed)")
     spi, seq = _ESP_HEADER.unpack_from(body, 0)
     if spi != sa.spi:
@@ -106,12 +107,3 @@ def esp_decapsulate(sa: SecurityAssociation,
     sa.packets_in += 1
     sa.bytes_in += len(inner_bytes)
     return inner
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0

@@ -297,7 +297,9 @@ class NetworkNamespace:
             self.rx_bad_packets += bad
 
     def _receive_skb(self, skb: SkBuff) -> None:
-        self._ct_in(skb)
+        if not self._ct_in(skb):
+            self.rx_dropped_filter += 1
+            return
         if self.iptables.traverse("mangle", "PREROUTING", skb) == Verdict.DROP:
             self.rx_dropped_filter += 1
             return
@@ -411,7 +413,8 @@ class NetworkNamespace:
     def send_ip(self, packet: IPv4Packet) -> None:
         """Send a locally generated packet."""
         skb = SkBuff(ipv4=packet)
-        self._ct_in(skb)
+        if not self._ct_in(skb):
+            return
         if self.iptables.traverse("mangle", "OUTPUT", skb) == Verdict.DROP:
             return
         if skb.ct_is_new and skb.ct_entry is not None:
@@ -483,10 +486,11 @@ class NetworkNamespace:
         device.transmit(frame)
 
     # -- conntrack helpers ------------------------------------------------------
-    def _ct_in(self, skb: SkBuff) -> None:
+    def _ct_in(self, skb: SkBuff) -> bool:
+        """Attach the packet's conntrack entry; False means drop it."""
         ports = _l4_ports(skb.ipv4)
         if skb.ipv4.proto not in (IPPROTO_TCP, IPPROTO_UDP) or ports is None:
-            return
+            return True
         flow = FlowTuple(src_ip=skb.ipv4.src, dst_ip=skb.ipv4.dst,
                          proto=skb.ipv4.proto, src_port=ports[0],
                          dst_port=ports[1])
@@ -495,7 +499,9 @@ class NetworkNamespace:
             try:
                 skb.ct_entry = self.conntrack.create(flow)
             except OverflowError:
-                return
+                # Table full: drop, as Linux does.  Untracked, the flow
+                # would skip the nat table and leak its private source.
+                return False
             skb.ct_direction = "orig"
             skb.ct_is_new = True
         else:
@@ -506,6 +512,7 @@ class NetworkNamespace:
         # restore below matches the common "-j CONNMARK --restore-mark"
         # usage only when the connection carries a mark and the packet
         # has none, which is how the sharable-NNF plugins configure it.
+        return True
 
     def _ct_confirm(self, skb: SkBuff) -> None:
         if skb.ct_entry is not None and skb.ct_direction == "reply":

@@ -37,8 +37,9 @@ from repro.nffg.model import (
 __all__ = ["nffg_from_dict", "nffg_from_json", "nffg_to_dict",
            "nffg_to_json"]
 
-_MATCH_FIELDS = ("eth_type", "vlan_id", "ip_src", "ip_dst", "ip_proto",
-                 "tp_src", "tp_dst")
+#: optional match fields and the JSON type each must carry
+_MATCH_FIELDS = {"eth_type": int, "vlan_id": int, "ip_src": str,
+                 "ip_dst": str, "ip_proto": int, "tp_src": int, "tp_dst": int}
 
 
 def nffg_to_dict(graph: Nffg) -> dict[str, Any]:
@@ -91,50 +92,73 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+_KIND_NAMES = {dict: "an object", list: "an array", int: "an integer",
+               str: "a string"}
+
+
+def _expect(value: Any, kind: type, path: str) -> Any:
+    """``value`` if it is a JSON ``kind``; ValueError naming ``path``."""
+    if not isinstance(value, kind) or kind is int and type(value) is bool:
+        raise ValueError(f"NF-FG JSON: {path} must be {_KIND_NAMES[kind]}, "
+                         f"got {value!r:.40}")
+    return value
+
+
 def nffg_from_dict(document: dict[str, Any]) -> Nffg:
-    body = _require(document, "forwarding-graph", "document root")
+    _expect(document, dict, "top level")
+    body = _expect(_require(document, "forwarding-graph", "document root"),
+                   dict, "forwarding-graph")
     graph = Nffg(graph_id=str(_require(body, "id", "forwarding-graph")),
                  name=str(body.get("name", "")))
-    for entry in body.get("VNFs", []):
-        config = entry.get("configuration", {})
-        if not isinstance(config, dict):
-            raise ValueError("NF-FG JSON: configuration must be an object")
-        replicas = entry.get("replicas", 1)
-        if not isinstance(replicas, int) or replicas < 1:
-            raise ValueError("NF-FG JSON: replicas must be a positive "
-                             f"integer, got {replicas!r}")
+    for index, entry in enumerate(_expect(body.get("VNFs", []), list,
+                                          "VNFs")):
+        _expect(entry, dict, f"VNFs[{index}]")
+        config = _expect(entry.get("configuration", {}), dict,
+                         f"VNFs[{index}].configuration")
         graph.nfs.append(NfInstanceSpec.with_config(
             nf_id=str(_require(entry, "id", "VNF")),
             template=str(_require(entry, "template", "VNF")),
             technology=entry.get("technology"),
             config={str(k): str(v) for k, v in config.items()},
-            replicas=replicas))
-    for entry in body.get("end-points", []):
+            replicas=_expect(entry.get("replicas", 1), int,
+                             f"VNFs[{index}].replicas")))
+    for index, entry in enumerate(_expect(body.get("end-points", []), list,
+                                          "end-points")):
+        _expect(entry, dict, f"end-points[{index}]")
+        vlan_id = entry.get("vlan-id")
+        if vlan_id is not None:
+            _expect(vlan_id, int, f"end-points[{index}].vlan-id")
         graph.endpoints.append(Endpoint(
             ep_id=str(_require(entry, "id", "end-point")),
             ep_type=str(entry.get("type", "interface")),
             interface=str(_require(entry, "interface", "end-point")),
-            vlan_id=entry.get("vlan-id")))
-    big_switch = body.get("big-switch", {})
-    for entry in big_switch.get("flow-rules", []):
-        raw_match = _require(entry, "match", "flow-rule")
-        kwargs = {name: raw_match[name] for name in _MATCH_FIELDS
-                  if name in raw_match}
+            vlan_id=vlan_id))
+    big_switch = _expect(body.get("big-switch", {}), dict, "big-switch")
+    for index, entry in enumerate(_expect(big_switch.get("flow-rules", []),
+                                          list, "big-switch.flow-rules")):
+        path = f"flow-rules[{index}]"
+        _expect(entry, dict, path)
+        raw_match = _expect(_require(entry, "match", "flow-rule"), dict,
+                            f"{path}.match")
+        kwargs = {name: _expect(raw_match[name], kind,
+                                f"{path}.match.{name}")
+                  for name, kind in _MATCH_FIELDS.items()
+                  if raw_match.get(name) is not None}
         match = FlowMatchSpec(
             port_in=PortRef.parse(str(_require(raw_match, "port_in",
                                                "flow-rule match"))),
             **kwargs)
-        action = _require(entry, "action", "flow-rule")
+        action = _expect(_require(entry, "action", "flow-rule"), dict,
+                         f"{path}.action")
         graph.flow_rules.append(FlowRule(
             rule_id=str(_require(entry, "id", "flow-rule")),
-            priority=int(entry.get("priority", 100)),
+            priority=_expect(entry.get("priority", 100), int,
+                             f"{path}.priority"),
             match=match,
             output=PortRef.parse(str(_require(action, "output",
                                               "flow-rule action")))))
-    policies = body.get("scaling-policies", [])
-    if not isinstance(policies, list):
-        raise ValueError("NF-FG JSON: scaling-policies must be an array")
-    for entry in policies:
+    for entry in _expect(body.get("scaling-policies", []), list,
+                         "scaling-policies"):
         graph.policies.append(ScalingPolicy.from_dict(entry))
     return graph
 
@@ -144,6 +168,4 @@ def nffg_from_json(text: str) -> Nffg:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"NF-FG JSON: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise ValueError("NF-FG JSON: top level must be an object")
     return nffg_from_dict(document)

@@ -189,7 +189,7 @@ class ScalingPolicy:
                     entry.get("scale-in-headroom", 0.7)),
                 cooldown_seconds=float(
                     entry.get("cooldown-seconds", 5.0)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad scaling policy: {exc}") from exc
 
 

@@ -13,8 +13,8 @@ Three cooperating pieces:
 * :class:`Tracer` — owns the id counter, the
   :class:`~repro.telemetry.histograms.HistogramRegistry` families for
   both planes, the 1-in-N batch sampler state, and the anomaly
-  triggers (slow control tick, fusion invalidation storm, heal or
-  heal-escalation, journal drop).  The dataplane reads
+  triggers (slow control tick, fusion invalidation storm, heal,
+  journal drop).  The dataplane reads
   ``batch_counter``/``sample_every`` *inline* — an unsampled batch
   pays one attribute read and one counter compare, nothing else.
 

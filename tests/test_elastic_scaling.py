@@ -3,17 +3,12 @@
 The acceptance scenario (deterministic, sim-engine driven): overload a
 chain NF -> the autoscaler raises desired replicas -> the reconciler
 converges -> hash-LB steering splits traffic with per-flow affinity ->
-load drops -> cooldown-paced scale-in drains the replicas away.  Plus
-the fleet-level heal escalation satellite: a node whose heals keep
-failing gets its graph re-placed without ``mark_node_down``.
+load drops -> cooldown-paced scale-in drains the replicas away.
 """
 
 import pytest
 
-from repro.catalog.templates import Technology
-from repro.compute.base import ComputeDriver, DriverError, Health
 from repro.core import ComputeNode
-from repro.core.multinode import MultiNodeOrchestrator
 from repro.net import MacAddress, make_udp_frame
 from repro.nffg.model import Nffg
 from repro.nffg.replicas import expand_replicas, replica_base
@@ -402,152 +397,3 @@ def test_replica_heal_reinstalls_the_lb_rule():
         node.steering.inject_batch("lan0", flow_frames(flow, 3))
     assert sum(len(frames) for frames in captured.values()) == 48
     assert all(len(frames) % 3 == 0 for frames in captured.values())
-
-
-# -- fleet heal escalation ----------------------------------------------------------
-
-class BreakableDriver(ComputeDriver):
-    """Healthy until ``broken``; then probes fail and heal verbs fail."""
-
-    technology = Technology.DOCKER
-    netns_prefix = "brk"
-
-    def __init__(self, host):
-        super().__init__(host)
-        self.broken = False
-
-    def create(self, spec):
-        if self.broken:
-            raise DriverError("injected: node cannot start containers")
-        return super().create(spec)
-
-    def restart(self, instance):
-        raise DriverError("injected: restart always dies")
-
-    def health(self, instance):
-        if self.broken:
-            return Health(False, "injected node sickness")
-        return super().health(instance)
-
-
-def test_node_local_heal_escalation_replaces_graph_on_the_fleet():
-    fleet = MultiNodeOrchestrator()
-    sick = make_node("sick-node")
-    healthy = make_node("healthy-node")
-    driver = BreakableDriver(sick.host)
-    sick.compute._drivers[Technology.DOCKER] = driver
-    fleet.add_node(sick)
-    fleet.add_node(healthy)
-    graph = dpi_graph(graph_id="esc")
-    fleet.deploy(graph, node_name="sick-node")
-    assert fleet.locate("esc") == "sick-node"
-
-    driver.broken = True
-    moved = fleet.reconcile()
-
-    assert moved == ["esc"]
-    assert fleet.locate("esc") == "healthy-node"
-    assert fleet.escalations_received >= 1
-    assert healthy.orchestrator.deployed["esc"].instances["dpi"].is_running
-    # Nothing left booked on the sick node, and nobody called
-    # mark_node_down: the node is still in rotation.
-    assert fleet.node_is_up("sick-node")
-    assert "esc" not in sick.orchestrator.deployed
-    kinds = [event.kind for event in fleet.journal.events("esc")]
-    assert "heal-escalated" in kinds and "re-placed" in kinds
-    node_kinds = [event.kind for event in
-                  sick.orchestrator.events("esc")]
-    assert "heal-escalated" in node_kinds
-
-
-def test_escalated_replace_survives_a_failing_target_deploy():
-    """Deploy-on-target happens before the source copy is torn down:
-    a target-side failure must cost nothing and must not abort the
-    fleet reconcile."""
-    fleet = MultiNodeOrchestrator()
-    sick = make_node("sick-node")
-    flaky_target = make_node("flaky-target")
-    sick_driver = BreakableDriver(sick.host)
-    target_driver = BreakableDriver(flaky_target.host)
-    sick.compute._drivers[Technology.DOCKER] = sick_driver
-    flaky_target.compute._drivers[Technology.DOCKER] = target_driver
-    fleet.add_node(sick)
-    fleet.add_node(flaky_target)
-    fleet.deploy(dpi_graph(graph_id="esc"), node_name="sick-node")
-    sick_driver.broken = True
-    target_driver.broken = True  # target cannot create containers either
-
-    moved = fleet.reconcile()  # must not raise
-
-    assert moved == []
-    assert fleet.locate("esc") == "sick-node"
-    # The sick copy was NOT torn down (its instance record survives).
-    assert "esc" in sick.orchestrator.deployed
-    kinds = [event.kind for event in fleet.journal.events("esc")]
-    assert "re-place-failed" in kinds
-    # Once the target recovers, the next reconcile completes the move.
-    target_driver.broken = False
-    assert fleet.reconcile() == ["esc"]
-    assert fleet.locate("esc") == "flaky-target"
-
-
-def test_down_node_rescue_clears_a_standing_escalation():
-    """A graph rescued off a dead node must drop its escalation flag —
-    the healthy new copy must not be migrated a second time."""
-    fleet = MultiNodeOrchestrator()
-    sick = make_node("node-a")
-    driver = BreakableDriver(sick.host)
-    sick.compute._drivers[Technology.DOCKER] = driver
-    fleet.add_node(sick)
-    fleet.deploy(dpi_graph(graph_id="esc"), node_name="node-a")
-    driver.broken = True
-    fleet.reconcile()  # escalates; no feasible target yet
-    assert "esc" in fleet._escalated
-
-    rescue = make_node("node-c")
-    fleet.add_node(rescue)
-    fleet.mark_node_down("node-a")
-    moved = fleet.reconcile()
-
-    assert moved == ["esc"]
-    assert fleet.locate("esc") == "node-c"
-    assert "esc" not in fleet._escalated
-    original = rescue.orchestrator.deployed["esc"].instances["dpi"]
-    fleet.reconcile()  # must not touch the healthy rescued copy
-    assert fleet.locate("esc") == "node-c"
-    assert rescue.orchestrator.deployed["esc"].instances["dpi"] \
-        is original
-
-
-def test_replicated_graph_replaces_with_raw_graph_fallback():
-    """The fleet re-place fallback must use the raw graph it deployed,
-    never the replica-expanded record (whose @-ids fail validation)."""
-    fleet = MultiNodeOrchestrator()
-    node_a = make_node("node-a")
-    node_b = make_node("node-b")
-    fleet.add_node(node_a)
-    fleet.add_node(node_b)
-    fleet.deploy(dpi_graph(replicas=2, graph_id="esc"),
-                 node_name="node-a")
-    # Simulate the node-local desired state being unreachable.
-    node_a.orchestrator.reconciler.desired_raw.clear()
-    fleet.mark_node_down("node-a")
-    assert fleet.reconcile() == ["esc"]
-    assert fleet.locate("esc") == "node-b"
-    assert set(node_b.orchestrator.deployed["esc"].instances) \
-        == {"dpi", "dpi@1"}
-
-
-def test_escalation_without_feasible_target_keeps_graph_booked():
-    fleet = MultiNodeOrchestrator()
-    sick = make_node("only-node")
-    driver = BreakableDriver(sick.host)
-    sick.compute._drivers[Technology.DOCKER] = driver
-    fleet.add_node(sick)
-    fleet.deploy(dpi_graph(graph_id="esc"), node_name="only-node")
-    driver.broken = True
-    moved = fleet.reconcile()
-    assert moved == []
-    assert fleet.locate("esc") == "only-node"
-    kinds = [event.kind for event in fleet.journal.events("esc")]
-    assert "re-place-failed" in kinds

@@ -138,6 +138,23 @@ def test_snat_masquerade_rewrites_and_reply_translates_back():
     assert reply_inbox == [("10.0.2.10", b"reply")]
 
 
+def test_full_conntrack_table_drops_new_flows_instead_of_leaking_them():
+    """A new flow that finds the table full is dropped, never forwarded
+    untracked: untracked, it would skip MASQUERADE and leak h1's
+    private address onto r2."""
+    _host, h1, router, h2 = router_topology()
+    router.conntrack.max_entries = 4
+    router.iptables.append("nat", "POSTROUTING", Rule(
+        match=Match(out_iface="r2"), target="MASQUERADE"))
+    sources = []
+    h2.bind_udp(7000, lambda ns, pkt, dgram: sources.append(pkt.src))
+    for flow in range(6):
+        h1.send_udp("10.0.1.10", "10.0.2.10", 4000 + flow, 7000, b"flow")
+    assert sources == ["10.0.2.1"] * 4
+    assert router.conntrack.insert_failures == 2
+    assert router.rx_dropped_filter == 2
+
+
 def test_dnat_port_forward():
     _host, h1, router, h2 = router_topology()
     # Forward router:8080 -> h2:7000

@@ -1,9 +1,10 @@
 """NF-FG model, JSON codec, validation and diff tests."""
 
+import copy
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.nffg.diff import diff_nffg
 from repro.nffg.json_codec import (
@@ -31,6 +32,48 @@ def sample_graph() -> Nffg:
     graph.add_flow_rule("r5", "vnf:nat1:lan", "vnf:fw:wan")
     graph.add_flow_rule("r6", "vnf:fw:lan", "endpoint:lan")
     return graph
+
+
+def _paths(value, prefix=()):
+    """Every location in a JSON document, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _splice(document, path, value):
+    """A deep copy of ``document`` with ``value`` put at ``path``."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+def _skeleton():
+    graph = sample_graph()
+    graph.add_nf("lb", "dpi", replicas=2)
+    graph.add_policy("lb", 1000.0)
+    return nffg_to_dict(graph)
+
+
+_SKELETON = _skeleton()
+_SKELETON_PATHS = list(_paths(_SKELETON))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8)
 
 
 class TestPortRef:
@@ -135,6 +178,38 @@ class TestJsonCodec:
     def test_top_level_must_be_object(self):
         with pytest.raises(ValueError):
             nffg_from_json("[1,2,3]")
+        with pytest.raises(ValueError, match="top level must be an object"):
+            nffg_from_dict("forwarding-graph")
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("VNFs",), {"id": "fw"}, "VNFs must be an array"),
+        (("big-switch", "flow-rules", 0, "match"), "x",
+         r"flow-rules\[0\]\.match must be an object"),
+        (("big-switch", "flow-rules", 0, "priority"), "10",
+         r"flow-rules\[0\]\.priority must be an integer"),
+        (("big-switch", "flow-rules", 2, "match", "ip_dst"), 5,
+         r"flow-rules\[2\]\.match\.ip_dst must be a string"),
+        (("scaling-policies", 0, "min-replicas"), float("inf"),
+         "bad scaling policy"),
+    ], ids=["vnfs", "match", "priority", "ip_dst", "policy"])
+    def test_wrong_type_names_its_path(self, path, value, reason):
+        with pytest.raises(ValueError, match=reason):
+            nffg_from_dict(_splice(_SKELETON, ("forwarding-graph",) + path,
+                                   value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_SKELETON_PATHS), _JSON_VALUES)
+    def test_any_spliced_json_value_decodes_or_raises_value_error(
+            self, path, value):
+        """A REST body is arbitrary JSON: whatever value lands wherever
+        in the document, decoding yields an NF-FG or a ValueError (the
+        REST layer's 400), never a TypeError or AttributeError."""
+        document = _splice(_SKELETON, path, value)
+        try:
+            graph = nffg_from_dict(document)
+        except ValueError:
+            return
+        assert isinstance(graph, Nffg)
 
     @given(st.text(alphabet="abcdefgh", min_size=1, max_size=8),
            st.integers(min_value=0, max_value=4095))

@@ -37,6 +37,23 @@ def nat_graph(graph_id="g1"):
     return graph
 
 
+def _graph_body(**fields):
+    return {"forwarding-graph": {"id": "g1", **fields}}
+
+
+#: Well-formed JSON of the wrong shape: each once dropped the connection.
+BADLY_SHAPED_BODIES = [
+    5,
+    {"forwarding-graph": 5},
+    _graph_body(VNFs=5),
+    _graph_body(VNFs=[5]),
+    _graph_body(**{"end-points": [5]}),
+    _graph_body(**{"big-switch": {"flow-rules": [5]}}),
+    _graph_body(**{"end-points": [{"id": "lan", "type": "vlan",
+                                   "interface": "lan0", "vlan-id": "7"}]}),
+]
+
+
 class TestRestApp:
     def test_root_describes_node(self, client):
         description = client.node_description()
@@ -85,6 +102,11 @@ class TestRestApp:
         assert response.status == 400
         response = client.app.handle("PUT", "/nffg/g1", b"")
         assert response.status == 400
+        for body in BADLY_SHAPED_BODIES:
+            response = client.app.handle("PUT", "/nffg/g1",
+                                         json.dumps(body).encode())
+            assert response.status == 400, body
+            assert "must be" in response.body["error"], body
 
     def test_400_for_id_mismatch(self, client):
         response = client.put("/nffg/other", nffg_to_dict(nat_graph()))
@@ -139,6 +161,27 @@ class TestHttpServer:
                 pytest.fail("expected HTTP 404")
             except urllib.error.HTTPError as exc:
                 assert exc.code == 404
+        finally:
+            server.stop()
+
+    def test_badly_shaped_nffg_is_a_400_not_a_dropped_connection(self, node):
+        import http.client
+
+        from repro.rest.server import NodeHttpServer
+        try:
+            server = NodeHttpServer(node, port=0).start()
+        except OSError:
+            pytest.skip("cannot bind a localhost socket here")
+        try:
+            connection = http.client.HTTPConnection(*server.address,
+                                                    timeout=5)
+            connection.request("PUT", "/nffg/g1",
+                               body=json.dumps(_graph_body(VNFs=[5])))
+            reply = connection.getresponse()
+            assert reply.status == 400
+            assert "VNFs[0] must be an object" \
+                in json.loads(reply.read())["error"]
+            connection.close()
         finally:
             server.stop()
 
