@@ -15,7 +15,7 @@ from typing import Optional
 __all__ = ["ConnState", "ConnTrack", "ConnTrackEntry", "FlowTuple"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowTuple:
     """Directional 5-tuple."""
 
@@ -37,7 +37,7 @@ class ConnState(Enum):
     RELATED = "RELATED"
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnTrackEntry:
     """One tracked connection.
 
@@ -59,11 +59,15 @@ class ConnTrackEntry:
 
 
 class ConnTrack:
-    """Connection table keyed by directional tuples."""
+    """Connection table keyed by directional tuples.
+
+    Each entry is indexed under its ``orig`` and its ``reply`` tuple;
+    the direction a tuple names is read off the entry, not stored.
+    """
 
     def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = max_entries
-        self._by_tuple: dict[FlowTuple, tuple[ConnTrackEntry, str]] = {}
+        self._by_tuple: dict[FlowTuple, ConnTrackEntry] = {}
         self.insert_failures = 0
 
     def __len__(self) -> int:
@@ -71,8 +75,15 @@ class ConnTrack:
         return len(self._by_tuple) // 2 + len(self._by_tuple) % 2
 
     def lookup(self, flow: FlowTuple) -> Optional[tuple[ConnTrackEntry, str]]:
-        """Return ``(entry, direction)``; direction is 'orig' or 'reply'."""
-        return self._by_tuple.get(flow)
+        """Return ``(entry, direction)``; direction is 'orig' or 'reply'.
+
+        A tuple that is both (a self-reverse flow) reads as 'reply', the
+        direction its entry registered last.
+        """
+        entry = self._by_tuple.get(flow)
+        if entry is None:
+            return None
+        return entry, "reply" if entry.reply == flow else "orig"
 
     def create(self, flow: FlowTuple) -> ConnTrackEntry:
         """Track a NEW connection seen in direction ``orig``."""
@@ -80,8 +91,8 @@ class ConnTrack:
             self.insert_failures += 1
             raise OverflowError("conntrack table full")
         entry = ConnTrackEntry(orig=flow, reply=flow.reversed())
-        self._by_tuple[flow] = (entry, "orig")
-        self._by_tuple[entry.reply] = (entry, "reply")
+        self._by_tuple[flow] = entry
+        self._by_tuple[entry.reply] = entry
         return entry
 
     def apply_nat(self, entry: ConnTrackEntry) -> None:
@@ -102,7 +113,7 @@ class ConnTrack:
         entry.reply = FlowTuple(src_ip=dst_ip, dst_ip=src_ip,
                                 proto=entry.orig.proto,
                                 src_port=dst_port, dst_port=src_port)
-        self._by_tuple[entry.reply] = (entry, "reply")
+        self._by_tuple[entry.reply] = entry
 
     def confirm(self, entry: ConnTrackEntry) -> None:
         """First reply (or second orig) packet establishes the flow."""
@@ -116,8 +127,5 @@ class ConnTrack:
         self._by_tuple.clear()
 
     def entries(self) -> list[ConnTrackEntry]:
-        seen: list[ConnTrackEntry] = []
-        for entry, direction in self._by_tuple.values():
-            if direction == "orig":
-                seen.append(entry)
-        return seen
+        return [entry for flow, entry in self._by_tuple.items()
+                if entry.reply != flow]

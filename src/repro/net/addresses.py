@@ -8,7 +8,7 @@ helpers below convert between the forms.
 from __future__ import annotations
 
 import re
-import struct
+from socket import inet_aton, inet_ntoa
 
 __all__ = ["MacAddress", "compile_cidr", "int_to_ip", "ip_to_int",
            "parse_cidr"]
@@ -86,26 +86,28 @@ BROADCAST_MAC = MacAddress("ff:ff:ff:ff:ff:ff")
 
 
 def ip_to_int(address: str) -> int:
-    """Dotted-quad string -> 32-bit int; raises ValueError on bad input."""
-    parts = address.split(".")
-    if len(parts) != 4:
+    """Dotted-quad string -> 32-bit int; raises ValueError on bad input.
+
+    Canonical form only: four ASCII decimal octets 0-255, no leading
+    zeros, nothing around them.  ``inet_aton`` parses in C but also
+    accepts ``"1.2"``, ``"0x7f.1"``, ``"010.0.0.1"`` and trailing junk
+    after a space, so the parse only counts when ``inet_ntoa`` gives the
+    same string back.
+    """
+    try:
+        packed = inet_aton(address)
+    except (OSError, ValueError):  # ValueError: NUL or unencodable text
+        raise ValueError(f"malformed IPv4 address: {address!r}") from None
+    if inet_ntoa(packed) != address:
         raise ValueError(f"malformed IPv4 address: {address!r}")
-    value = 0
-    for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"malformed IPv4 address: {address!r}")
-        octet = int(part)
-        if octet > 255 or (len(part) > 1 and part[0] == "0"):
-            raise ValueError(f"malformed IPv4 address: {address!r}")
-        value = (value << 8) | octet
-    return value
+    return int.from_bytes(packed, "big")
 
 
 def int_to_ip(value: int) -> str:
     """32-bit int -> dotted-quad string."""
     if not 0 <= value < 1 << 32:
         raise ValueError(f"IPv4 integer out of range: {value:#x}")
-    return ".".join(str(b) for b in struct.pack("!I", value))
+    return inet_ntoa(value.to_bytes(4, "big"))
 
 
 def parse_cidr(cidr: str) -> tuple[int, int]:
@@ -117,7 +119,7 @@ def parse_cidr(cidr: str) -> tuple[int, int]:
     if "/" not in cidr:
         raise ValueError(f"CIDR must contain '/': {cidr!r}")
     addr, _, plen_text = cidr.partition("/")
-    if not plen_text.isdigit():
+    if not (plen_text.isascii() and plen_text.isdigit()):
         raise ValueError(f"malformed prefix length in {cidr!r}")
     plen = int(plen_text)
     if not 0 <= plen <= 32:

@@ -144,10 +144,12 @@ def nffg_from_dict(document: dict[str, Any]) -> Nffg:
                                 f"{path}.match.{name}")
                   for name, kind in _MATCH_FIELDS.items()
                   if raw_match.get(name) is not None}
-        match = FlowMatchSpec(
-            port_in=PortRef.parse(str(_require(raw_match, "port_in",
-                                               "flow-rule match"))),
-            **kwargs)
+        port_in = PortRef.parse(str(_require(raw_match, "port_in",
+                                             "flow-rule match")))
+        try:
+            match = FlowMatchSpec(port_in=port_in, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"NF-FG JSON: {path}.match: {exc}") from None
         action = _expect(_require(entry, "action", "flow-rule"), dict,
                          f"{path}.action")
         graph.flow_rules.append(FlowRule(

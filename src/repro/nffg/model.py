@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from repro.net.addresses import compile_cidr
+
 __all__ = ["Endpoint", "FlowRule", "MAX_REPLICAS", "NfInstanceSpec",
            "Nffg", "PortRef", "ScalingPolicy"]
 
@@ -193,6 +195,11 @@ class ScalingPolicy:
             raise ValueError(f"bad scaling policy: {exc}") from exc
 
 
+#: inclusive upper bound of each integer match field
+_MATCH_FIELD_MAX = {"eth_type": 0xFFFF, "vlan_id": 4095, "ip_proto": 255,
+                    "tp_src": 65535, "tp_dst": 65535}
+
+
 @dataclass(frozen=True)
 class FlowMatchSpec:
     """Match half of a big-switch flow rule (port_in plus optional L2-L4)."""
@@ -205,6 +212,16 @@ class FlowMatchSpec:
     ip_proto: Optional[int] = None
     tp_src: Optional[int] = None
     tp_dst: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("ip_src", "ip_dst"):
+            value = getattr(self, name)
+            if value is not None:
+                compile_cidr(value)  # a bare address means /32
+        for name, top in _MATCH_FIELD_MAX.items():
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= top:
+                raise ValueError(f"match {name} out of range: {value}")
 
 
 @dataclass(frozen=True)

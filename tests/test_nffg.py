@@ -197,6 +197,38 @@ class TestJsonCodec:
             nffg_from_dict(_splice(_SKELETON, ("forwarding-graph",) + path,
                                    value))
 
+    @pytest.mark.parametrize("field, value", [
+        ("ip_dst", "203.0.113.0/99"),
+        ("ip_dst", "\u0662\u0660\u0663.0.113.0/24"),  # Arabic-Indic 203
+        ("ip_src", "10.0.0.0/\u0662\u0664"),
+        ("ip_src", "10.0.0.256"),
+        ("tp_dst", 70000),
+        ("tp_src", -1),
+        ("ip_proto", 256),
+        ("eth_type", 0x10000),
+        ("vlan_id", 4096),
+    ])
+    def test_bad_match_value_names_its_path(self, field, value):
+        """A match value the dataplane cannot install is a decode error
+        (the REST layer's 400), not a deploy that fails halfway."""
+        with pytest.raises(ValueError, match=r"flow-rules\[2\]\.match: "
+                           r".*(out of range|malformed)"):
+            nffg_from_dict(_splice(
+                _SKELETON, ("forwarding-graph", "big-switch", "flow-rules",
+                            2, "match", field), value))
+        graph = Nffg(graph_id="g")
+        with pytest.raises(ValueError):
+            graph.add_flow_rule("r", "endpoint:e", "vnf:a:lan",
+                                **{field: value})
+
+    def test_match_values_at_their_bounds_decode(self):
+        graph = Nffg(graph_id="g")
+        graph.add_flow_rule("r1", "endpoint:e", "vnf:a:lan",
+                            ip_src="10.0.0.7", ip_dst="0.0.0.0/0",
+                            tp_src=0, tp_dst=65535, ip_proto=255,
+                            eth_type=0xFFFF, vlan_id=4095)
+        assert nffg_from_dict(nffg_to_dict(graph)) == graph
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_SKELETON_PATHS), _JSON_VALUES)
     def test_any_spliced_json_value_decodes_or_raises_value_error(

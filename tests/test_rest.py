@@ -108,6 +108,23 @@ class TestRestApp:
             assert response.status == 400, body
             assert "must be" in response.body["error"], body
 
+    @pytest.mark.parametrize("field, value", [
+        ("ip_dst", "203.0.113.0/99"),
+        ("tp_dst", 70000),
+        ("ip_dst", "\u0662\u0660\u0663.0.113.0/24"),  # Arabic-Indic 203
+    ])
+    def test_400_for_bad_match_value_and_nothing_deployed(
+            self, client, node, field, value):
+        document = nffg_to_dict(nat_graph())
+        rule = document["forwarding-graph"]["big-switch"]["flow-rules"][3]
+        rule["match"][field] = value
+        response = client.app.handle("PUT", "/nffg/g1",
+                                     json.dumps(document).encode())
+        assert response.status == 400, response.body
+        assert "flow-rules[3].match" in response.body["error"]
+        assert client.list_graphs() == []
+        assert node.accountant.ram_used_mb == 0
+
     def test_400_for_id_mismatch(self, client):
         response = client.put("/nffg/other", nffg_to_dict(nat_graph()))
         assert response.status == 400
