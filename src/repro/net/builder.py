@@ -13,6 +13,7 @@ once no matter how many entries inspect it.
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from repro.net.addresses import MacAddress, ip_to_int
@@ -22,13 +23,18 @@ from repro.net.transport import TcpSegment, UdpDatagram
 
 __all__ = ["ParsedFrame", "make_tcp_frame", "make_udp_frame", "parse_frame"]
 
+#: Both IPv4 addresses as ints, straight from header bytes 12..19.
+_ADDRESS_PAIR = struct.Struct("!II").unpack_from
+
 
 class ParsedFrame:
     """Lazily decoded view of a frame; deeper layers are None when absent.
 
     ``eth`` is always present; ``ipv4``/``udp``/``tcp`` decode on first
     access and are cached.  ``ip_ints`` exposes the addresses as 32-bit
-    ints for the flow-table fast path (computed once per frame).
+    ints for the flow-table fast path (computed once per frame): read
+    from the header bytes when ``ipv4`` decodes the frame itself, from
+    the address strings when the L3 view was supplied or replaced.
     """
 
     __slots__ = ("eth", "_ipv4", "_udp", "_tcp",
@@ -57,10 +63,13 @@ class ParsedFrame:
         if not self._l3_done:
             self._l3_done = True
             if self.eth.ethertype == ETHERTYPE_IPV4:
+                payload = self.eth.payload
                 try:
-                    self._ipv4 = IPv4Packet.from_bytes(self.eth.payload)
+                    self._ipv4 = IPv4Packet.from_bytes(payload)
                 except ValueError:
                     pass
+                else:
+                    self._ip_ints = _ADDRESS_PAIR(payload, 12)
         return self._ipv4
 
     @ipv4.setter
@@ -115,14 +124,21 @@ class ParsedFrame:
     # -- hot-path views ----------------------------------------------------
     @property
     def ip_ints(self) -> Optional[tuple[int, int]]:
-        """(src_int, dst_int) of the IPv4 header, or None; cached."""
+        """(src_int, dst_int) of the IPv4 header, or None; cached.
+
+        The lazy decode fills it from the header bytes; an L3 view
+        passed to the constructor or the ``ipv4`` setter has no bytes
+        behind it, so its address strings are converted instead.
+        """
         ints = self._ip_ints
         if ints is None:
             packet = self.ipv4
             if packet is None:
                 return None
-            ints = (ip_to_int(packet.src), ip_to_int(packet.dst))
-            self._ip_ints = ints
+            ints = self._ip_ints
+            if ints is None:
+                ints = (ip_to_int(packet.src), ip_to_int(packet.dst))
+                self._ip_ints = ints
         return ints
 
     @property

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from socket import inet_ntoa
 
-from repro.net.addresses import int_to_ip, ip_to_int
+from repro.net.addresses import ip_to_int
 from repro.net.checksum import internet_checksum
 
 __all__ = [
@@ -23,6 +24,8 @@ IPPROTO_UDP = 17
 IPPROTO_ESP = 50
 
 IPV4_HEADER_LEN = 20
+
+_HEADER = struct.Struct("!BBHHHBBH4s4s")
 
 
 @dataclass
@@ -82,8 +85,8 @@ class IPv4Packet:
         if len(data) < IPV4_HEADER_LEN:
             raise ValueError(f"IPv4 packet too short: {len(data)} bytes")
         (version_ihl, tos, total_length, identification, flags_frag,
-         ttl, proto, checksum, src_raw, dst_raw) = struct.unpack_from(
-            "!BBHHHBBH4s4s", data, 0)
+         ttl, proto, _checksum, src_raw, dst_raw) = _HEADER.unpack_from(
+            data, 0)
         version = version_ihl >> 4
         ihl = (version_ihl & 0x0F) * 4
         if version != 4:
@@ -94,16 +97,23 @@ class IPv4Packet:
             raise ValueError("IPv4 total length exceeds buffer")
         if verify_checksum and internet_checksum(data[:ihl]) != 0:
             raise ValueError("IPv4 header checksum mismatch")
-        return cls(
-            src=int_to_ip(int.from_bytes(src_raw, "big")),
-            dst=int_to_ip(int.from_bytes(dst_raw, "big")),
-            proto=proto,
-            payload=data[ihl:total_length],
-            ttl=ttl,
-            identification=identification,
-            dscp=tos >> 2,
-            flags=flags_frag >> 13,
-        )
+        # Every field is valid by construction — a 4-byte address is a
+        # dotted quad, proto and TTL are one byte each — so the object
+        # is built structurally (``__new__`` + one ``__dict__``) instead
+        # of through ``__post_init__``, whose re-parse of both address
+        # strings and range checks could never fail here.
+        packet = cls.__new__(cls)
+        packet.__dict__ = {
+            "src": inet_ntoa(src_raw),
+            "dst": inet_ntoa(dst_raw),
+            "proto": proto,
+            "payload": data[ihl:total_length],
+            "ttl": ttl,
+            "identification": identification,
+            "dscp": tos >> 2,
+            "flags": flags_frag >> 13,
+        }
+        return packet
 
     def __repr__(self) -> str:
         return (f"<IPv4 {self.src}->{self.dst} proto={self.proto} "

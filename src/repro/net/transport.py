@@ -19,6 +19,9 @@ __all__ = ["TcpSegment", "UdpDatagram", "pseudo_header"]
 UDP_HEADER_LEN = 8
 TCP_HEADER_LEN = 20
 
+_UDP_HEADER = struct.Struct("!HHHH")
+_TCP_HEADER = struct.Struct("!HHIIHHHH")
+
 # TCP flag bits
 TCP_FIN = 0x01
 TCP_SYN = 0x02
@@ -69,12 +72,17 @@ class UdpDatagram:
     def from_bytes(cls, data: bytes) -> "UdpDatagram":
         if len(data) < UDP_HEADER_LEN:
             raise ValueError("UDP datagram too short")
-        src_port, dst_port, length, _checksum = struct.unpack_from(
-            "!HHHH", data, 0)
+        src_port, dst_port, length, _checksum = _UDP_HEADER.unpack_from(
+            data, 0)
         if length < UDP_HEADER_LEN or length > len(data):
             raise ValueError("bad UDP length field")
-        return cls(src_port=src_port, dst_port=dst_port,
-                   payload=data[UDP_HEADER_LEN:length])
+        # 16-bit wire ports are valid by construction: build the object
+        # structurally, as ``IPv4Packet.from_bytes`` does, and skip the
+        # range checks of ``__post_init__``.
+        datagram = cls.__new__(cls)
+        datagram.__dict__ = {"src_port": src_port, "dst_port": dst_port,
+                             "payload": data[UDP_HEADER_LEN:length]}
+        return datagram
 
 
 @dataclass
@@ -130,10 +138,16 @@ class TcpSegment:
         if len(data) < TCP_HEADER_LEN:
             raise ValueError("TCP segment too short")
         (src_port, dst_port, seq, ack, offset_flags, window,
-         _checksum, _urgent) = struct.unpack_from("!HHIIHHHH", data, 0)
+         _checksum, _urgent) = _TCP_HEADER.unpack_from(data, 0)
         data_offset = (offset_flags >> 12) * 4
         if data_offset < TCP_HEADER_LEN or data_offset > len(data):
             raise ValueError("bad TCP data offset")
-        return cls(src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-                   flags=offset_flags & 0x3F, payload=data[data_offset:],
-                   window=window)
+        # 16-bit ports, 32-bit seq/ack and masked flags are valid by
+        # construction: built structurally, as in ``UdpDatagram``.
+        segment = cls.__new__(cls)
+        segment.__dict__ = {"src_port": src_port, "dst_port": dst_port,
+                            "seq": seq, "ack": ack,
+                            "flags": offset_flags & 0x3F,
+                            "payload": data[data_offset:],
+                            "window": window}
+        return segment

@@ -32,8 +32,17 @@ the load balancing.
 Aging runs on a pluggable clock: wall-monotonic by default, rebound
 to the virtual clock by sim-driven control loops (the same contract
 as the event journal), so state lifetimes in tests are deterministic.
-Tables are bounded (``capacity``); overflow evicts idle entries
-first, then the least-recently-seen.
+Tables are bounded (``capacity``).  The entry dict's insertion order
+*is* the LRU order: every pin or remap moves its entry to the end, so
+the front holds the least recently touched flow.  A new flow arriving
+at capacity first trims the idle prefix of that order (counted as
+``expired``) and, if the table is still full, evicts the least
+recently *touched* entry: no sweep and no scan over live entries.
+Touch order, not ``last_seen``, decides: under a coarse clock (sim
+ticks stamp a whole batch with one time) the flow just hit is never
+the one dropped.  :meth:`FlowStateTable.expire` still sweeps the whole
+table, so a clock rebound backwards (wall -> sim) ages every idle
+entry, wherever it sits in the order.
 
 Fusion interplay: chain fusion traces *into* a terminal
 ``SelectOutput`` hop (:class:`repro.switch.fusion.FusedSelectChain`),
@@ -49,6 +58,7 @@ flow-mod.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -93,6 +103,25 @@ def _established(parsed: ParsedFrame) -> bool:
             and (tcp.flags & (_TCP_SYN | _TCP_ACK)) == _TCP_ACK)
 
 
+def _check_limits(idle_timeout: float, capacity: int) -> None:
+    """Reject table parameters that would break aging or the bound.
+
+    ``idle_timeout`` must be a finite positive number (a NaN horizon
+    compares false both ways, so entries would never — or, trimmed at
+    capacity, always — look idle); ``capacity`` must be an ``int`` of
+    at least 1.
+    """
+    if (isinstance(idle_timeout, bool)
+            or not isinstance(idle_timeout, (int, float))
+            or not (idle_timeout > 0 and math.isfinite(idle_timeout))):
+        raise ValueError(
+            f"idle_timeout must be a finite positive number: "
+            f"{idle_timeout!r}")
+    if isinstance(capacity, bool) or not isinstance(capacity, int) \
+            or capacity < 1:
+        raise ValueError(f"capacity must be an int >= 1: {capacity!r}")
+
+
 class FlowStateTable:
     """One group's flow-state store (see the module docstring)."""
 
@@ -104,10 +133,7 @@ class FlowStateTable:
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  capacity: int = DEFAULT_CAPACITY,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        if idle_timeout <= 0:
-            raise ValueError(f"idle_timeout must be positive: {idle_timeout}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
+        _check_limits(idle_timeout, capacity)
         self.name = name
         self.idle_timeout = idle_timeout
         self.capacity = capacity
@@ -149,6 +175,8 @@ class FlowStateTable:
                 self.expired += 1
             elif entry.port in port_set:
                 entry.last_seen = now
+                del entries[key]  # to the end: most recently touched
+                entries[key] = entry
                 self.pinned += 1
                 return entry.port
             else:
@@ -157,6 +185,8 @@ class FlowStateTable:
                 port = rendezvous_select(ports, flow_hash(parsed), seeds)
                 entry.port = port
                 entry.last_seen = now
+                del entries[key]
+                entries[key] = entry
                 self.remapped += 1
                 self.churned += 1
                 return port
@@ -175,17 +205,32 @@ class FlowStateTable:
     def _insert(self, key, port: int, now: float) -> None:
         entries = self._entries
         if len(entries) >= self.capacity:
-            self.expire(now)
+            # The front of the dict is the least recently touched end:
+            # trim its idle prefix, then evict the front if still full.
+            horizon = now - self.idle_timeout
+            idle = []
+            for old_key, entry in entries.items():
+                if entry.last_seen >= horizon:
+                    break
+                idle.append(old_key)
+            for old_key in idle:
+                del entries[old_key]
+            self.expired += len(idle)
             if len(entries) >= self.capacity:
-                oldest = min(entries, key=lambda k: entries[k].last_seen)
-                del entries[oldest]
+                del entries[next(iter(entries))]
                 self.evicted += 1
         entries[key] = FlowStateEntry(port, now)
         self.inserted += 1
 
     # -- lifecycle --------------------------------------------------------------
     def expire(self, now: Optional[float] = None) -> int:
-        """Sweep idle entries; returns how many aged out."""
+        """Sweep idle entries; returns how many aged out.
+
+        A full sweep, not the prefix trim of an insert at capacity: after
+        the clock is rebound backwards the touch order no longer sorts
+        by ``last_seen``, and every idle entry must still go.  Only
+        :meth:`FlowStateRegistry.expire` calls it, off the frame path.
+        """
         if now is None:
             now = self._now()
         horizon = now - self.idle_timeout
@@ -236,6 +281,7 @@ class FlowStateRegistry:
     def __init__(self, name: str = "",
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  capacity: int = DEFAULT_CAPACITY) -> None:
+        _check_limits(idle_timeout, capacity)
         self.name = name
         self.idle_timeout = idle_timeout
         self.capacity = capacity

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import MacAddress, make_udp_frame, parse_frame
@@ -142,6 +143,58 @@ def test_capacity_evicts_least_recently_seen():
     assert len(table) == 2 and table.evicted == 1
     assert table.owner(oldest) is None
     assert table.owner(middle) is not None
+
+
+def test_coarse_clock_evicts_the_least_recently_touched_flow():
+    """Sim ticks stamp a whole batch with one time, so ``last_seen``
+    ties are normal: the flow just hit must not be the one dropped."""
+    table = FlowStateTable(capacity=2, clock=Clock(5.0))
+    ports = (10, 11)
+    a, b, c = _udp(1), _udp(2), _udp(3)
+    for parsed in (a, b, a, c):
+        table.steer(parsed, ports, frozenset(ports))
+    assert table.evicted == 1 and table.pinned == 1
+    assert table.owner(b) is None
+    assert table.owner(a) is not None and table.owner(c) is not None
+
+
+def test_insert_at_capacity_trims_the_idle_prefix_first():
+    clock = Clock()
+    table = FlowStateTable(idle_timeout=10.0, capacity=3, clock=clock)
+    ports = (10,)
+    flows = [_udp(flow) for flow in range(4)]
+    for flow in flows[:3]:
+        table.steer(flow, ports, frozenset(ports))
+        clock.now += 4.0
+    # now=12: flow 0 (seen at 0) is idle, flow 1 (seen at 4) is not.
+    table.steer(flows[3], ports, frozenset(ports))
+    assert (table.expired, table.evicted, len(table)) == (1, 0, 3)
+    assert table.owner(flows[0]) is None
+
+
+@pytest.mark.parametrize("idle_timeout", [
+    float("nan"), float("inf"), -float("inf"), 0, -1.0, "30", True, None])
+def test_bad_idle_timeout_is_rejected_at_construction(idle_timeout):
+    with pytest.raises(ValueError, match="idle_timeout"):
+        FlowStateTable(idle_timeout=idle_timeout)
+    with pytest.raises(ValueError, match="idle_timeout"):
+        FlowStateRegistry(idle_timeout=idle_timeout)
+
+
+@pytest.mark.parametrize("capacity", [
+    2.5, 2.0, float("inf"), float("nan"), 0, -3, "8", True, None])
+def test_bad_capacity_is_rejected_at_construction(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        FlowStateTable(capacity=capacity)
+    with pytest.raises(ValueError, match="capacity"):
+        FlowStateRegistry(capacity=capacity)
+
+
+def test_registry_rejects_bad_limits_before_any_frame():
+    with pytest.raises(ValueError):
+        FlowStateRegistry(capacity=0, idle_timeout=-1)
+    registry = FlowStateRegistry(idle_timeout=0.5, capacity=1)
+    assert registry.table("g").capacity == 1
 
 
 def test_registry_tables_share_a_rebindable_clock():
