@@ -11,9 +11,6 @@ This package implements the per-packet machinery:
   numbers, a 64-packet anti-replay window, lifetime counters.
 * :mod:`repro.ipsec.esp` — RFC 4303 encapsulation/decapsulation in
   tunnel mode with real byte layouts.
-* :mod:`repro.ipsec.ike` — a two-message pre-shared-key handshake on
-  UDP/500 (stand-in for IKEv2) that negotiates and rekeys SAs over the
-  simulated dataplane.  No NF uses it.
 
 The NF itself is :mod:`repro.nnf.plugins.strongswan`.  It runs no key
 exchange: both tunnel endpoints derive matching SAs from the

@@ -1,6 +1,6 @@
 """Cryptographic primitives built on hashlib/hmac only.
 
-**Substitution note** (see DESIGN.md §2): the paper's strongSwan setup
+**Substitution note**: the paper's strongSwan setup
 uses AES for ESP encryption.  No AES implementation is available in the
 offline environment's stdlib, so encryption here is a keystream cipher:
 

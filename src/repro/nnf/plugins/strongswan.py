@@ -5,7 +5,9 @@ kernel XFRM path ("The Strongswan implementation leverages kernel
 processing to handle packets faster", paper §3).  The plugin therefore
 emits ``ip xfrm state/policy`` commands with key material derived from
 the configured PSK — both tunnel endpoints configured with the same PSK
-derive matching SAs, standing in for the IKE exchange (DESIGN.md §2).
+derive matching SAs.  This stands in for the IKE exchange: the
+repository has no key-exchange daemon, so SA keys come from the PSK
+alone and a deploy needs no negotiation round trip.
 
 Not sharable and not multi-instance: strongSwan keeps global kernel SA
 state and a single charon control socket, so a second graph cannot get

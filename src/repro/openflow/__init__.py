@@ -3,14 +3,17 @@
 Each LSI in the compute node "is managed by its own OpenFlow controller
 that dynamically inserts the proper rules in flow table(s)" (paper §2).
 This package implements a binary, struct-packed message codec modelled
-on OpenFlow 1.0 (HELLO / FEATURES / FLOW_MOD / PACKET_IN / PACKET_OUT /
-STATS / BARRIER), an in-process channel that really serialises every
-message to bytes and back, the switch-side agent, and the controller
-class the traffic-steering manager drives.
+on OpenFlow 1.0, cut to the messages steering sends and the switch
+answers (HELLO / FEATURES_REQUEST / FEATURES_REPLY / FLOW_MOD / ERROR),
+an in-process channel that really serialises every message to bytes
+and back, the switch-side agent, and the controller class the
+traffic-steering manager drives.
 
 The wire format is OpenFlow-*inspired* rather than byte-compatible
-with the IETF spec (see DESIGN.md §2): the message set, semantics and
-programming model match what the un-orchestrator exercises.
+with the OpenFlow 1.0 specification: the type codes, header and
+FLOW_MOD semantics follow it, while the match and action bodies are
+simplified TLV layouts.  Table misses are not punted to the
+controller; the datapath counts them as drops.
 """
 
 from repro.openflow.channel import ControlChannel
@@ -21,7 +24,6 @@ from repro.openflow.messages import (
     decode_message,
     encode_flow_mod,
     encode_hello,
-    encode_packet_in,
 )
 from repro.openflow.agent import SwitchAgent
 
@@ -34,5 +36,4 @@ __all__ = [
     "decode_message",
     "encode_flow_mod",
     "encode_hello",
-    "encode_packet_in",
 ]

@@ -1,40 +1,28 @@
 """Switch-side protocol endpoint: applies FLOW_MODs to the datapath.
 
 The agent owns the switch end of a :class:`ControlChannel`, decodes
-incoming messages, mutates the flow table, answers FEATURES/STATS/
-BARRIER, and punts table-miss frames upstream as PACKET_INs.
+incoming messages, mutates the flow table and answers HELLO and
+FEATURES_REQUEST.  Anything it cannot decode or has no handler for is
+answered with an ERROR.  It sends nothing on a table miss: the
+datapath counts the miss (``table_misses``) and the drop (``dropped``).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from repro.net.ethernet import EthernetFrame
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import (
     CodecError,
     FlowModCommand,
     Message,
-    OfpType,
-    STATS_FLOW,
-    STATS_PORT,
     decode_message,
-    encode_barrier,
-    encode_echo,
     encode_error,
     encode_features_reply,
     encode_hello,
-    encode_packet_in,
-    encode_stats_reply,
 )
 from repro.switch.datapath import Datapath
 from repro.switch.flowtable import FlowEntry
 
 __all__ = ["SwitchAgent"]
-
-#: PACKET_IN reason codes
-REASON_NO_MATCH = 0
-REASON_ACTION = 1
 
 _ERR_BAD_REQUEST = 1
 _ERR_BAD_FLOW_MOD = 2
@@ -46,19 +34,10 @@ class SwitchAgent:
     def __init__(self, datapath: Datapath, channel: ControlChannel) -> None:
         self.datapath = datapath
         self.channel = channel
-        self._xids = itertools.count(1)
         self.flow_mods_applied = 0
         self.errors_sent = 0
         channel.switch_end.on_receive(self._on_bytes)
-        datapath.packet_in_handler = self._on_table_miss
 
-    # -- switch -> controller ------------------------------------------------
-    def _on_table_miss(self, datapath: Datapath, in_port: int,
-                       frame: EthernetFrame) -> None:
-        self.channel.switch_end.send(encode_packet_in(
-            next(self._xids), in_port, REASON_NO_MATCH, frame.to_bytes()))
-
-    # -- controller -> switch ------------------------------------------------
     def _on_bytes(self, data: bytes) -> None:
         try:
             message = decode_message(data)
@@ -78,10 +57,6 @@ class SwitchAgent:
 
     def _handle_hello(self, message: Message) -> None:
         self.channel.switch_end.send(encode_hello(message.xid))
-
-    def _handle_echo_request(self, message: Message) -> None:
-        self.channel.switch_end.send(
-            encode_echo(message.xid, message.payload, reply=True))
 
     def _handle_features_request(self, message: Message) -> None:
         ports = {number: port.name
@@ -107,27 +82,3 @@ class SwitchAgent:
                                        priority=message.priority,
                                        strict=True)
         self.flow_mods_applied += 1
-
-    def _handle_packet_out(self, message: Message) -> None:
-        # One-shot action list: interpret it directly instead of
-        # building (and compiling) a throwaway FlowEntry per message.
-        frame = EthernetFrame.from_bytes(message.frame)
-        self.datapath.execute_interpreted(tuple(message.actions),
-                                          message.in_port, frame)
-
-    def _handle_barrier_request(self, message: Message) -> None:
-        # All processing is synchronous: the barrier is trivially met.
-        self.channel.switch_end.send(encode_barrier(message.xid, reply=True))
-
-    def _handle_stats_request(self, message: Message) -> None:
-        if message.stats_kind == STATS_FLOW:
-            rows = [(entry.priority, entry.packets, entry.bytes, entry.match)
-                    for entry in self.datapath.table]
-            self.channel.switch_end.send(encode_stats_reply(
-                message.xid, STATS_FLOW, rows))
-            return
-        rows = [(number, port.rx_packets, port.tx_packets,
-                 port.rx_bytes, port.tx_bytes)
-                for number, port in sorted(self.datapath.ports.items())]
-        self.channel.switch_end.send(encode_stats_reply(
-            message.xid, STATS_PORT, rows))

@@ -8,32 +8,25 @@ steering decision crosses the binary control channel.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import (
     FlowModCommand,
-    Message,
     OfpType,
     decode_message,
     encode_features_request,
     encode_flow_mod,
     encode_hello,
-    encode_packet_out,
-    encode_stats_request,
-    STATS_FLOW,
-    STATS_PORT,
 )
 from repro.switch.actions import Action
 from repro.switch.flowtable import FlowMatch
 
 __all__ = ["LsiController"]
 
-PacketInCallback = Callable[[int, bytes], None]
-
 
 class LsiController:
-    """Controller endpoint: handshake, flow programming, stats."""
+    """Controller endpoint: handshake and flow programming."""
 
     def __init__(self, channel: ControlChannel, name: str = "ctrl") -> None:
         self.channel = channel
@@ -43,9 +36,6 @@ class LsiController:
         self.ports: dict[int, str] = {}
         self.connected = False
         self.flow_mods_sent = 0
-        self.packet_ins = 0
-        self.packet_in_callback: Optional[PacketInCallback] = None
-        self._pending_stats: list = []
         channel.controller_end.on_receive(self._on_bytes)
 
     # -- handshake -----------------------------------------------------------
@@ -80,37 +70,13 @@ class LsiController:
         """Remove every flow installed with ``cookie`` (graph teardown)."""
         self.flow_delete(FlowMatch(), cookie=cookie)
 
-    def packet_out(self, in_port: int, actions: Sequence[Action],
-                   frame_bytes: bytes) -> None:
-        self.channel.controller_end.send(encode_packet_out(
-            next(self._xids), in_port, actions, frame_bytes))
-
-    # -- stats ----------------------------------------------------------------
-    def flow_stats(self) -> list:
-        self._pending_stats = []
-        self.channel.controller_end.send(
-            encode_stats_request(next(self._xids), STATS_FLOW))
-        return self._pending_stats
-
-    def port_stats(self) -> list:
-        self._pending_stats = []
-        self.channel.controller_end.send(
-            encode_stats_request(next(self._xids), STATS_PORT))
-        return self._pending_stats
-
     # -- inbound ---------------------------------------------------------------
     def _on_bytes(self, data: bytes) -> None:
         message = decode_message(data)
         if message.msg_type is OfpType.FEATURES_REPLY:
             self.dpid = message.dpid
             self.ports = dict(message.port_names)
-        elif message.msg_type is OfpType.PACKET_IN:
-            self.packet_ins += 1
-            if self.packet_in_callback is not None:
-                self.packet_in_callback(message.in_port, message.frame)
-        elif message.msg_type is OfpType.STATS_REPLY:
-            self._pending_stats.extend(message.stats)
         elif message.msg_type is OfpType.ERROR:
             raise RuntimeError(
                 f"{self.name}: switch reported error code {message.code}")
-        # HELLO/ECHO/BARRIER replies need no action.
+        # A HELLO reply needs no action.

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.net.addresses import MacAddress, int_to_ip, ip_to_int, parse_cidr
+from repro.net.addresses import MacAddress, int_to_ip, parse_cidr
 from repro.switch.actions import (
     Action,
     Controller,
@@ -34,17 +34,11 @@ __all__ = [
     "OFP_VERSION",
     "OfpType",
     "decode_message",
-    "encode_barrier",
-    "encode_echo",
     "encode_error",
     "encode_features_reply",
     "encode_features_request",
     "encode_flow_mod",
     "encode_hello",
-    "encode_packet_in",
-    "encode_packet_out",
-    "encode_stats_reply",
-    "encode_stats_request",
 ]
 
 OFP_VERSION = 0x01
@@ -59,17 +53,9 @@ class CodecError(Exception):
 class OfpType(enum.IntEnum):
     HELLO = 0
     ERROR = 1
-    ECHO_REQUEST = 2
-    ECHO_REPLY = 3
     FEATURES_REQUEST = 5
     FEATURES_REPLY = 6
-    PACKET_IN = 10
-    PACKET_OUT = 13
     FLOW_MOD = 14
-    STATS_REQUEST = 16
-    STATS_REPLY = 17
-    BARRIER_REQUEST = 18
-    BARRIER_REPLY = 19
 
 
 class FlowModCommand(enum.IntEnum):
@@ -291,17 +277,10 @@ class Message:
     actions: list[Action] = field(default_factory=list)
     priority: int = 0
     cookie: int = 0
-    # PACKET_IN / PACKET_OUT
-    in_port: int = 0
-    frame: bytes = b""
-    reason: int = 0
     # FEATURES_REPLY
     dpid: int = 0
     port_names: dict[int, str] = field(default_factory=dict)
-    # STATS
-    stats_kind: int = 0
-    stats: list = field(default_factory=list)
-    # ERROR / ECHO
+    # ERROR
     code: int = 0
     payload: bytes = b""
 
@@ -315,12 +294,6 @@ def _pack(msg_type: OfpType, xid: int, body: bytes) -> bytes:
 
 def encode_hello(xid: int) -> bytes:
     return _pack(OfpType.HELLO, xid, b"")
-
-
-def encode_echo(xid: int, payload: bytes = b"",
-                reply: bool = False) -> bytes:
-    kind = OfpType.ECHO_REPLY if reply else OfpType.ECHO_REQUEST
-    return _pack(kind, xid, payload)
 
 
 def encode_error(xid: int, code: int, detail: bytes = b"") -> bytes:
@@ -349,49 +322,14 @@ def encode_flow_mod(xid: int, command: FlowModCommand, match: FlowMatch,
     return _pack(OfpType.FLOW_MOD, xid, body)
 
 
-def encode_packet_in(xid: int, in_port: int, reason: int,
-                     frame: bytes) -> bytes:
-    return _pack(OfpType.PACKET_IN, xid,
-                 struct.pack("!HB", in_port, reason) + frame)
-
-
-def encode_packet_out(xid: int, in_port: int, actions: Sequence[Action],
-                      frame: bytes) -> bytes:
-    body = struct.pack("!H", in_port) + _encode_actions(actions) + frame
-    return _pack(OfpType.PACKET_OUT, xid, body)
-
-
-def encode_barrier(xid: int, reply: bool = False) -> bytes:
-    kind = OfpType.BARRIER_REPLY if reply else OfpType.BARRIER_REQUEST
-    return _pack(kind, xid, b"")
-
-
-#: stats kinds
-STATS_FLOW = 1
-STATS_PORT = 2
-
-
-def encode_stats_request(xid: int, kind: int) -> bytes:
-    return _pack(OfpType.STATS_REQUEST, xid, struct.pack("!B", kind))
-
-
-def encode_stats_reply(xid: int, kind: int,
-                       rows: Sequence[tuple]) -> bytes:
-    body = bytearray(struct.pack("!BH", kind, len(rows)))
-    for row in rows:
-        if kind == STATS_FLOW:
-            priority, packets, nbytes, match = row
-            body.extend(struct.pack("!HQQ", priority, packets, nbytes))
-            body.extend(_encode_match(match))
-        else:
-            port_no, rx_packets, tx_packets, rx_bytes, tx_bytes = row
-            body.extend(struct.pack("!HQQQQ", port_no, rx_packets,
-                                    tx_packets, rx_bytes, tx_bytes))
-    return _pack(OfpType.STATS_REPLY, xid, bytes(body))
-
-
 def decode_message(data: bytes) -> Message:
-    """Decode one complete message; raises :class:`CodecError` on junk."""
+    """Decode one complete message; raises :class:`CodecError` on junk.
+
+    A body too short for its fields, or holding a value its field type
+    rejects (a command byte with no :class:`FlowModCommand`, a VLAN id
+    out of range, a /40 prefix), surfaces as :class:`CodecError` with
+    the original exception chained as its cause.
+    """
     if len(data) < _HEADER.size:
         raise CodecError("truncated header")
     version, raw_type, length, xid = _HEADER.unpack_from(data, 0)
@@ -405,63 +343,27 @@ def decode_message(data: bytes) -> Message:
         raise CodecError(f"unknown message type {raw_type}") from None
     message = Message(msg_type=msg_type, xid=xid)
     body = data[_HEADER.size:]
-    if msg_type in (OfpType.HELLO, OfpType.FEATURES_REQUEST,
-                    OfpType.BARRIER_REQUEST, OfpType.BARRIER_REPLY):
-        return message
-    if msg_type in (OfpType.ECHO_REQUEST, OfpType.ECHO_REPLY):
-        message.payload = body
-        return message
-    if msg_type == OfpType.ERROR:
-        (message.code,) = struct.unpack_from("!H", body, 0)
-        message.payload = body[2:]
-        return message
-    if msg_type == OfpType.FEATURES_REPLY:
-        dpid, count = struct.unpack_from("!QH", body, 0)
-        message.dpid = dpid
-        offset = 10
-        for _ in range(count):
-            port_no, raw_name = struct.unpack_from("!H16s", body, offset)
-            offset += 18
-            message.port_names[port_no] = raw_name.rstrip(b"\x00").decode()
-        return message
-    if msg_type == OfpType.FLOW_MOD:
-        command, priority, cookie = struct.unpack_from("!BHQ", body, 0)
-        message.command = FlowModCommand(command)
-        message.priority = priority
-        message.cookie = cookie
-        match, offset = _decode_match(body, 11)
-        message.match = match
-        message.actions, _offset = _decode_actions(body, offset)
-        return message
-    if msg_type == OfpType.PACKET_IN:
-        in_port, reason = struct.unpack_from("!HB", body, 0)
-        message.in_port = in_port
-        message.reason = reason
-        message.frame = body[3:]
-        return message
-    if msg_type == OfpType.PACKET_OUT:
-        (in_port,) = struct.unpack_from("!H", body, 0)
-        message.in_port = in_port
-        message.actions, offset = _decode_actions(body, 2)
-        message.frame = body[offset:]
-        return message
-    if msg_type == OfpType.STATS_REQUEST:
-        message.stats_kind = body[0]
-        return message
-    if msg_type == OfpType.STATS_REPLY:
-        kind, count = struct.unpack_from("!BH", body, 0)
-        message.stats_kind = kind
-        offset = 3
-        for _ in range(count):
-            if kind == STATS_FLOW:
-                priority, packets, nbytes = struct.unpack_from(
-                    "!HQQ", body, offset)
+    try:
+        if msg_type == OfpType.ERROR:
+            (message.code,) = struct.unpack_from("!H", body, 0)
+            message.payload = body[2:]
+        elif msg_type == OfpType.FEATURES_REPLY:
+            dpid, count = struct.unpack_from("!QH", body, 0)
+            message.dpid = dpid
+            offset = 10
+            for _ in range(count):
+                port_no, raw_name = struct.unpack_from("!H16s", body, offset)
                 offset += 18
-                match, offset = _decode_match(body, offset)
-                message.stats.append((priority, packets, nbytes, match))
-            else:
-                row = struct.unpack_from("!HQQQQ", body, offset)
-                offset += 34
-                message.stats.append(row)
-        return message
-    raise CodecError(f"no decoder for {msg_type}")  # pragma: no cover
+                message.port_names[port_no] = \
+                    raw_name.rstrip(b"\x00").decode()
+        elif msg_type == OfpType.FLOW_MOD:
+            command, priority, cookie = struct.unpack_from("!BHQ", body, 0)
+            message.command = FlowModCommand(command)
+            message.priority = priority
+            message.cookie = cookie
+            match, offset = _decode_match(body, 11)
+            message.match = match
+            message.actions, _offset = _decode_actions(body, offset)
+    except (struct.error, ValueError, IndexError) as exc:
+        raise CodecError(f"malformed {msg_type.name} body: {exc}") from exc
+    return message

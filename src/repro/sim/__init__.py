@@ -7,28 +7,17 @@ forwarded synchronously.  The engine is a classic event-wheel design:
 
 * :class:`~repro.sim.engine.Simulator` owns a priority queue of timed
   events and a monotonically advancing virtual clock.
-* Processes are plain Python generators that ``yield`` simulation
-  primitives (:class:`~repro.sim.engine.Timeout`,
-  :class:`~repro.sim.engine.Event`, ...), in the style popularised by
+* Processes are plain Python generators that ``yield`` the two
+  simulation primitives, :class:`~repro.sim.engine.Timeout` and
+  :class:`~repro.sim.engine.Event`, in the style popularised by
   SimPy, but implemented from scratch so the repository has no runtime
   dependencies.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
+from repro.sim.engine import Event, Process, Simulator, Timeout
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timeout",

@@ -1,10 +1,11 @@
 """Core event loop of the discrete-event simulator.
 
 The design follows the classic process-interaction style: the simulator
-keeps a heap of ``(time, priority, sequence, event)`` tuples and fires
-event callbacks in order.  A :class:`Process` wraps a generator; every
-value the generator yields must be an :class:`Event` (or subclass), and
-the process resumes when that event fires.
+keeps a heap of ``(time, sequence, event)`` tuples and fires event
+callbacks in order.  A :class:`Process` wraps a generator; every value
+the generator yields must be an :class:`Event` (a :class:`Timeout` or
+another :class:`Process` included), and the process resumes when that
+event fires.
 
 Time is a ``float`` in **seconds**.  All components of the reproduction
 use SI units (seconds, bytes, bits/second) to avoid unit bugs.
@@ -14,13 +15,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",
@@ -30,18 +28,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for invalid simulator usage (e.g. double-firing an event)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -131,70 +117,6 @@ class Timeout(Event):
         sim._schedule(self, delay=delay)
 
 
-class AnyOf(Event):
-    """Fires when the first of several events fires.
-
-    The value is a dict mapping each fired event to its value (at least
-    one entry; more if several events fire at the same instant before the
-    callback runs).
-    """
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.fired:
-                self._collect(event)
-            else:
-                event.callbacks.append(self._collect)
-
-    def _collect(self, _event: Event) -> None:
-        if self._triggered:
-            return
-        done = {}
-        failure: Optional[BaseException] = None
-        for event in self.events:
-            if event.fired:
-                if event._exception is not None:
-                    failure = event._exception
-                    break
-                done[event] = event._value
-        if failure is not None:
-            self.fail(failure)
-        elif done:
-            self.succeed(done)
-
-
-class AllOf(Event):
-    """Fires when every one of several events has fired."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = len(self.events)
-        if self._pending == 0:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.fired:
-                self._collect(event)
-            else:
-                event.callbacks.append(self._collect)
-
-    def _collect(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed({ev: ev._value for ev in self.events})
-
-
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -214,30 +136,10 @@ class Process(Event):
                             f"{type(generator).__name__}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: resume once at the current instant.
-        bootstrap = Timeout(sim, 0.0)
-        bootstrap.callbacks.append(self._resume)
-        self._waiting_on = bootstrap
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        if self._waiting_on is not None:
-            target = self._waiting_on
-            if self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        poke = Event(self.sim)
-        poke.callbacks.append(self._resume)
-        poke.fail(Interrupt(cause))
+        Timeout(sim, 0.0).callbacks.append(self._resume)
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._exception is not None:
                 next_event = self.generator.throw(event._exception)
@@ -245,11 +147,6 @@ class Process(Event):
                 next_event = self.generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            # An uncaught interrupt terminates the process "successfully"
-            # with the interrupt cause, mirroring cooperative cancellation.
-            self.succeed(interrupt.cause)
             return
         if not isinstance(next_event, Event):
             self.generator.throw(TypeError(
@@ -265,10 +162,8 @@ class Process(Event):
                 poke.fail(next_event._exception)
             else:
                 poke.succeed(next_event._value)
-            self._waiting_on = poke
         else:
             next_event.callbacks.append(self._resume)
-            self._waiting_on = next_event
 
 
 class Simulator:
@@ -295,12 +190,6 @@ class Simulator:
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -343,19 +232,3 @@ class Simulator:
         if until is not None and not self._stopped:
             self._now = until
         return self._now
-
-    def run_until_fired(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` fires; returns its value.
-
-        Raises :class:`SimulationError` when the heap drains or the time
-        limit passes without the event firing (deadlock guard for tests).
-        """
-        while not event.fired:
-            if not self._heap:
-                raise SimulationError(
-                    "simulation ran out of events before target fired")
-            if self.peek() > limit:
-                raise SimulationError(
-                    f"target event did not fire before t={limit}")
-            self.step()
-        return event.value

@@ -1,4 +1,4 @@
-"""The switch pipeline: ports, table lookup, action execution, packet-in.
+"""The switch pipeline: ports, table lookup, action execution.
 
 A :class:`Datapath` is a single-table OpenFlow-style switch.  Ports
 either wrap a :class:`~repro.linuxnet.devices.NetDevice` (NF ports and
@@ -32,8 +32,7 @@ Action execution is *compiled*: every matching frame, on either
 path, runs its entry's cached closure (see
 :func:`repro.switch.actions.compile_actions`).
 :meth:`Datapath.execute_interpreted` is the reference interpreter the
-property suite holds those closures to, and what one-shot OpenFlow
-packet-out lists run through.
+property suite holds those closures to; no production path calls it.
 
 One level further up sits *chain fusion*
 (:mod:`repro.switch.fusion`): when an ingress entry's whole chain —
@@ -640,11 +639,9 @@ class Datapath:
                             deliver: Optional[EmitFn] = None) -> None:
         """Reference action interpreter: per-frame type dispatch.
 
-        Kept as the semantic baseline for the compiled closures —
+        Kept only as the semantic baseline for the compiled closures —
         ``tests/test_compiled_actions.py`` asserts both paths produce
         identical emissions and counters.
-        It is also the right path for one-shot action lists (OpenFlow
-        packet-out), which would waste a compile per message.
         """
         if deliver is None:
             deliver = self._emit

@@ -1,20 +1,21 @@
-"""Codec round-trips plus controller<->agent integration."""
+"""Codec round-trips, malformed-input fuzzing, controller<->agent."""
+
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.linuxnet import VethPair
 from repro.net import MacAddress, make_udp_frame
 from repro.openflow import ControlChannel, LsiController, SwitchAgent
 from repro.openflow.messages import (
+    OFP_VERSION,
     CodecError,
     FlowModCommand,
     OfpType,
     decode_message,
     encode_flow_mod,
     encode_hello,
-    encode_packet_in,
-    encode_packet_out,
 )
 from repro.switch import (
     Datapath,
@@ -22,6 +23,7 @@ from repro.switch import (
     Output,
     PopVlan,
     PushVlan,
+    SelectOutput,
     SetField,
 )
 
@@ -116,21 +118,6 @@ class TestCodec:
                                    FlowMatch(vlan_vid=sentinel), ())
             assert decode_message(data).match.vlan_vid == sentinel
 
-    def test_packet_in_roundtrip(self):
-        frame = make_udp_frame(MAC_A, MAC_B, "1.1.1.1", "2.2.2.2", 1, 2,
-                               b"payload").to_bytes()
-        message = decode_message(encode_packet_in(9, 4, 0, frame))
-        assert message.in_port == 4
-        assert message.frame == frame
-
-    def test_packet_out_roundtrip(self):
-        frame = make_udp_frame(MAC_A, MAC_B, "1.1.1.1", "2.2.2.2", 1, 2,
-                               b"x").to_bytes()
-        data = encode_packet_out(3, 0, (Output(5),), frame)
-        message = decode_message(data)
-        assert message.actions == [Output(5)]
-        assert message.frame == frame
-
     def test_truncated_rejected(self):
         with pytest.raises(CodecError):
             decode_message(b"\x01\x00")
@@ -156,6 +143,134 @@ class TestCodec:
         message = decode_message(data)
         assert message.priority == priority
         assert message.cookie == cookie
+
+
+def frame_message(msg_type: int, body: bytes, xid: int = 1) -> bytes:
+    """``body`` under a well-formed header: right version and length."""
+    return struct.pack("!BBHI", OFP_VERSION, msg_type, 8 + len(body),
+                       xid) + body
+
+
+def flow_mod_body(match_tlvs: bytes = b"", command: int = 0) -> bytes:
+    """A FLOW_MOD body with raw match TLVs and an empty action list."""
+    return (struct.pack("!BHQ", command, 100, 0)
+            + struct.pack("!H", len(match_tlvs)) + match_tlvs
+            + struct.pack("!H", 0))
+
+
+#: OpenFlow 1.0 type codes the control channel does not carry: ECHO,
+#: PACKET_IN, PACKET_OUT, STATS and BARRIER.
+RETIRED_TYPES = (2, 3, 10, 13, 16, 17, 18, 19)
+
+#: Bodies under a valid header whose field decode raises struct.error,
+#: ValueError or IndexError; each must surface as CodecError.
+MALFORMED = {
+    "error-body-1-byte": frame_message(OfpType.ERROR, b"\x00"),
+    "flow-mod-body-short": frame_message(OfpType.FLOW_MOD, bytes(10)),
+    "features-reply-body-short": frame_message(OfpType.FEATURES_REPLY,
+                                               bytes(9)),
+    "in-port-tlv-1-byte": frame_message(
+        OfpType.FLOW_MOD, flow_mod_body(b"\x01\x01\x00")),
+    "flow-mod-command-9": frame_message(
+        OfpType.FLOW_MOD, flow_mod_body(command=9)),
+    "vlan-vid-5000": frame_message(
+        OfpType.FLOW_MOD, flow_mod_body(b"\x05\x02" + struct.pack(
+            "!h", 5000))),
+    "ip-src-prefix-40": frame_message(
+        OfpType.FLOW_MOD, flow_mod_body(b"\x06\x05" + struct.pack(
+            "!IB", 0x0A000000, 40))),
+    "ip-proto-tlv-empty": frame_message(
+        OfpType.FLOW_MOD, flow_mod_body(b"\x08\x00")),
+}
+
+_matches = st.builds(
+    FlowMatch,
+    in_port=st.none() | st.integers(1, 64),
+    eth_dst=st.none() | st.just(MAC_B),
+    eth_type=st.none() | st.just(0x0800),
+    vlan_vid=st.none() | st.integers(1, 4094),
+    ip_src=st.none() | st.just("10.0.0.0/24"),
+    ip_proto=st.none() | st.just(17),
+    tp_dst=st.none() | st.integers(0, 0xFFFF),
+)
+_actions = st.lists(st.sampled_from([
+    Output(2), PushVlan(7), PopVlan(), SetField("eth_dst", MAC_A),
+    SelectOutput((3, 4), group="g"),
+]), max_size=4)
+
+
+@st.composite
+def random_bodies(draw):
+    """Random bytes under a valid header, retired type codes included."""
+    msg_type = draw(st.sampled_from(
+        [int(t) for t in OfpType] + list(RETIRED_TYPES))
+        | st.integers(0, 0xFF))
+    return frame_message(msg_type, draw(st.binary(max_size=64)))
+
+
+@st.composite
+def mutated_flow_mods(draw):
+    """A valid FLOW_MOD with body bytes overwritten, cut or appended."""
+    data = bytearray(encode_flow_mod(
+        1, draw(st.sampled_from(list(FlowModCommand))), draw(_matches),
+        draw(_actions)))
+    body = data[8:]
+    for _ in range(draw(st.integers(1, 4))):
+        position = draw(st.integers(0, len(body) - 1))
+        body[position] = draw(st.integers(0, 0xFF))
+    body = body[:draw(st.integers(0, len(body)))] + draw(st.binary(
+        max_size=8))
+    msg_type = draw(st.sampled_from((OfpType.FLOW_MOD,) + RETIRED_TYPES))
+    return frame_message(msg_type, bytes(body))
+
+
+def check_rejected_or_decoded(data: bytes) -> None:
+    """``decode_message`` returns or raises CodecError, nothing else.
+    A bare agent fed the same bytes never raises; where the decode
+    fails, it answers one ERROR and leaves its table alone."""
+    try:
+        decode_message(data)
+    except CodecError:
+        rejected = True
+    else:
+        rejected = False
+    dp = Datapath(0x42, name="lsi-fuzz")
+    channel = ControlChannel()  # no controller: replies stay queued
+    agent = SwitchAgent(dp, channel)
+    version = dp.table.version
+    channel.controller_end.send(data)
+    if not rejected:
+        return
+    assert agent.errors_sent == 1
+    assert [label for label, _data in channel.undelivered] == ["controller"]
+    reply = decode_message(channel.undelivered[0][1])
+    assert reply.msg_type is OfpType.ERROR
+    assert dp.table.version == version
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_known_malformed_body_is_codec_error(self, name):
+        with pytest.raises(CodecError) as caught:
+            decode_message(MALFORMED[name])
+        assert caught.value.__cause__ is not None
+        check_rejected_or_decoded(MALFORMED[name])
+
+    @pytest.mark.parametrize("msg_type", RETIRED_TYPES)
+    def test_retired_type_is_codec_error(self, msg_type):
+        with pytest.raises(CodecError):
+            decode_message(frame_message(msg_type, b""))
+        check_rejected_or_decoded(frame_message(msg_type, b""))
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_bodies())
+    def test_random_body_decodes_or_is_codec_error(self, data):
+        check_rejected_or_decoded(data)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_flow_mods())
+    def test_mutated_flow_mod_decodes_or_is_codec_error(self, data):
+        check_rejected_or_decoded(data)
 
 
 def wired_pair():
@@ -193,50 +308,21 @@ class TestControllerAgent:
         controller.flow_delete_by_cookie(0xA1)
         assert len(dp.table) == 1
 
-    def test_table_miss_reaches_controller_as_packet_in(self):
-        dp, _channel, _agent, controller = wired_pair()
-        punted = []
-        controller.packet_in_callback = lambda port, raw: punted.append(port)
+    def test_table_miss_is_a_counted_drop(self):
+        # A steering-managed LSI does not punt a miss to its
+        # controller: the datapath counts it and drops it, and the
+        # control channel stays silent.
+        dp, channel, _agent, controller = wired_pair()
         controller.handshake()
         pair = VethPair("sw0", "nf0")
         pair.b.set_up()
         dp.add_port("sw0", device=pair.a)
+        exchanged = channel.messages_exchanged
         pair.b.transmit(make_udp_frame(MAC_A, MAC_B, "1.1.1.1", "2.2.2.2",
                                        1, 2, b"miss"))
-        assert controller.packet_ins == 1
-        assert punted == [1]
-
-    def test_packet_out_injects_frame(self):
-        dp, _channel, _agent, controller = wired_pair()
-        controller.handshake()
-        pair = VethPair("sw0", "nf0")
-        received = []
-        pair.b.set_up()
-        pair.b.attach_handler(lambda dev, fr: received.append(fr))
-        dp.add_port("sw0", device=pair.a)
-        frame = make_udp_frame(MAC_A, MAC_B, "1.1.1.1", "2.2.2.2", 1, 2,
-                               b"out")
-        controller.packet_out(0, (Output(1),), frame.to_bytes())
-        assert len(received) == 1
-
-    def test_flow_stats_roundtrip(self):
-        dp, _channel, _agent, controller = wired_pair()
-        controller.handshake()
-        controller.flow_add(FlowMatch(in_port=1), (Output(2),), priority=11)
-        rows = controller.flow_stats()
-        assert len(rows) == 1
-        priority, packets, nbytes, match = rows[0]
-        assert priority == 11
-        assert packets == 0
-        assert match == FlowMatch(in_port=1)
-
-    def test_port_stats_roundtrip(self):
-        dp, _channel, _agent, controller = wired_pair()
-        dp.add_port("a")
-        controller.handshake()
-        rows = controller.port_stats()
-        assert rows == [(1, 0, 0, 0, 0)]
-
+        assert dp.table_misses == 1
+        assert dp.dropped == 1
+        assert channel.messages_exchanged == exchanged
     def test_channel_counts_messages(self):
         _dp, channel, _agent, controller = wired_pair()
         controller.handshake()

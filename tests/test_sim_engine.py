@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulator, Timeout
+from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -159,73 +159,6 @@ def test_event_double_trigger_rejected():
     gate.succeed(1)
     with pytest.raises(SimulationError):
         gate.succeed(2)
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    caught = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((interrupt.cause, sim.now))
-
-    def interrupter(target):
-        yield sim.timeout(1.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert caught == [("wake up", 1.0)]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.1)
-
-    process = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    results = []
-
-    def waiter():
-        first = sim.timeout(1.0, value="fast")
-        second = sim.timeout(5.0, value="slow")
-        done = yield sim.any_of([first, second])
-        results.append(list(done.values()))
-
-    sim.process(waiter())
-    sim.run()
-    assert results == [["fast"]]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    at = []
-
-    def waiter():
-        yield sim.all_of([sim.timeout(1.0), sim.timeout(4.0)])
-        at.append(sim.now)
-
-    sim.process(waiter())
-    sim.run()
-    assert at == [4.0]
-
-
-def test_run_until_fired_detects_starvation():
-    sim = Simulator()
-    never = sim.event()
-    with pytest.raises(SimulationError):
-        sim.run_until_fired(never)
 
 
 def test_yielding_already_fired_event_resumes():
