@@ -16,6 +16,11 @@ Two instantiation modes:
   additional graphs are attached through the adaptation layer: one
   trunk port, per-graph VLAN subinterfaces, per-graph marks, and the
   plugin's ``add_path`` script building the isolated internal path.
+
+Plugins write the add-path script only: each path command is recorded
+on the graph's attachment as it succeeds, and detach runs its
+:func:`~repro.linuxnet.cmdline.inverse_script`.  A last-tenant detach
+runs none, as ``ip netns del`` removes the whole component.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.compute.instances import InstanceSpec, InstanceState, NfInstance
 from repro.nnf.plugin import NnfPlugin, PluginContext
 from repro.nnf.registry import NnfRegistry
 from repro.nnf.sharing import SharedNnfManager
+from repro.linuxnet.cmdline import inverse_script
 from repro.linuxnet.host import LinuxHost
 
 __all__ = ["NativeDriver"]
@@ -49,8 +55,6 @@ class NativeDriver(ComputeDriver):
         super().__init__(host, behaviors=registry)
         self.registry = registry
         self.shared = shared if shared is not None else SharedNnfManager()
-        self.shared_attachments = 0
-        self.dedicated_instances = 0
 
     # -- plugin selection -----------------------------------------------------------
     def _plugin_for(self, spec: InstanceSpec) -> NnfPlugin:
@@ -90,7 +94,6 @@ class NativeDriver(ComputeDriver):
         instance.runtime_ram_mb = self.runtime_ram_mb(instance)
         instance.transition("create")
         self._run(plugin.create_script(self._context(instance)))
-        self.dedicated_instances += 1
         return instance
 
     def _create_shared(self, spec: InstanceSpec,
@@ -135,14 +138,17 @@ class NativeDriver(ComputeDriver):
         instance.runtime_ram_mb = (self.runtime_ram_mb(instance)
                                    if created else 0.0)
         instance.transition("create")
-        self.shared_attachments += 1
         return instance
 
     # -- configure / start / destroy -----------------------------------------------
     def configure(self, instance: NfInstance) -> None:
         plugin = self.registry.get(instance.plugin_name)
         if instance.shared:
-            self._run(plugin.add_path_script(self._context(instance)))
+            path = self.shared.instance_of(plugin.name).attachments[
+                instance.graph_id].path
+            for command in plugin.add_path_script(self._context(instance)):
+                self._run([command])
+                path.append(command)
         else:
             self._run(plugin.configure_script(self._context(instance)))
         instance.transition("configure")
@@ -201,8 +207,8 @@ class NativeDriver(ComputeDriver):
 
     def _run_best_effort(self, commands: list[str]) -> None:
         """Teardown semantics of the real scripts' ``cmd || true``: a
-        rule that was never installed (rolled-back half-deploy) must
-        not abort the rest of the cleanup."""
+        rule already gone (deleted out of band) must not abort the rest
+        of the cleanup."""
         for command in commands:
             try:
                 self._run([command])
@@ -214,14 +220,15 @@ class NativeDriver(ComputeDriver):
         if instance.shared:
             shared = self.shared.instance_of(plugin.name)
             if shared is not None:
-                self._run_best_effort(plugin.remove_path_script(
-                    self._context(instance)))
                 attachment = self.shared.detach(plugin.name,
                                                 instance.graph_id)
-                self._run_best_effort(shared.adaptation.teardown_commands(
-                    shared.netns, attachment))
                 released = self.shared.release_if_unused(plugin.name)
-                if released is not None:
+                if released is None:
+                    self._run_best_effort(
+                        inverse_script(attachment.path)
+                        + shared.adaptation.teardown_commands(
+                            shared.netns, attachment))
+                else:
                     trunk = f"sh-{plugin.name}"
                     found = self.host.find_device(trunk)
                     if found is not None:

@@ -12,30 +12,37 @@ Supported commands (the subset the plugins use):
 * ``ip netns add|del NAME`` and the ``ip netns exec NS <cmd>`` prefix
 * ``ip link add A type veth peer name B``
 * ``ip link set DEV netns NS | up | down | mtu N | master BR | nomaster``
-* ``ip addr add IP/PLEN dev DEV``
-* ``ip route add CIDR|default [via GW] dev DEV``
+* ``ip link del DEV`` (in the command's namespace)
+* ``ip addr add|del IP/PLEN dev DEV``
+* ``ip route add|del CIDR|default [via GW] [dev DEV] [table N]``
+* ``ip rule add|del fwmark MARK[/MASK] table N``
 * ``ip neigh add IP lladdr MAC``
 * ``ip xfrm state add src S dst D proto esp spi N enc HEX auth HEX``
 * ``ip xfrm policy add src CIDR dst CIDR dir in|out tmpl src S dst D``
-* ``iptables [-t TABLE] -A|-I|-N|-P|-F ...``
+* ``ip xfrm state|policy flush``
+* ``iptables [-t TABLE] -A|-I|-D|-N|-X|-P|-F ...``
 * ``brctl addbr|delbr|addif|delif ...``
 * ``sysctl -w KEY=VALUE``
 * ``true`` / ``echo ...`` (no-ops, so scripts can log)
+
+:func:`inverse_script` maps a path script to the one that undoes it.
 """
 
 from __future__ import annotations
 
 import shlex
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.ipsec.sa import SecurityAssociation
 from repro.linuxnet.conntrack import ConnState
+from repro.linuxnet.devices import VlanDevice
 from repro.linuxnet.host import LinuxHost
 from repro.linuxnet.iptables import Match, Rule
+from repro.linuxnet.routing import RouteTable
 from repro.linuxnet.xfrm import Selector, XfrmDirection, XfrmPolicy, XfrmState
 from repro.net.addresses import MacAddress
 
-__all__ = ["CommandError", "ScriptRunner"]
+__all__ = ["CommandError", "ScriptRunner", "inverse_script"]
 
 _PROTO_NAMES = {"icmp": 1, "tcp": 6, "udp": 17, "esp": 50}
 
@@ -136,7 +143,6 @@ class ScriptRunner:
                 return
             # ip link add link PARENT name NAME type vlan id VID
             if rest[:1] == ["link"] and "vlan" in rest and "id" in rest:
-                from repro.linuxnet.devices import VlanDevice
                 parent_name = rest[1]
                 name = rest[rest.index("name") + 1]
                 vid = int(rest[rest.index("id") + 1])
@@ -147,12 +153,15 @@ class ScriptRunner:
                 return
             raise CommandError(f"unsupported 'ip link add' form: {original!r}")
         if args[0] in ("del", "delete"):
-            found = self.host.find_device(args[1])
-            if found is None:
-                raise CommandError(f"no such device {args[1]!r}")
-            namespace, device = found
+            namespace = self.host.namespace(netns)
+            device = namespace.devices.get(args[1])
+            if device is None:
+                raise CommandError(
+                    f"no device {args[1]!r} in netns {netns!r}")
             if device.peer is not None:
                 device.peer.peer = None
+            if isinstance(device, VlanDevice):
+                del device.parent.vlan_subdevices[device.vid]
             namespace.remove_device(device.name)
             return
         if args[0] == "set":
@@ -198,22 +207,25 @@ class ScriptRunner:
         raise CommandError(f"unsupported 'ip link' form: {original!r}")
 
     def _ip_addr(self, args: list[str], netns: str, original: str) -> None:
-        if len(args) >= 4 and args[0] == "add" and args[2] == "dev":
+        if len(args) >= 4 and args[0] in ("add", "del") and args[2] == "dev":
             address = args[1]
             if "/" not in address:
                 raise CommandError(f"address needs a prefix length: {original!r}")
             ip, _, plen = address.partition("/")
-            namespace = self.host.namespace(netns)
-            namespace.device(args[3]).add_address(ip, int(plen))
+            device = self.host.namespace(netns).device(args[3])
+            if args[0] == "add":
+                device.add_address(ip, int(plen))
+            else:
+                device.remove_address(ip, int(plen))
             return
         raise CommandError(f"unsupported 'ip addr' form: {original!r}")
 
     def _ip_route(self, args: list[str], netns: str, original: str) -> None:
-        if not args or args[0] != "add":
+        if not args or args[0] not in ("add", "del"):
             raise CommandError(f"unsupported 'ip route' form: {original!r}")
         rest = args[1:]
         if not rest:
-            raise CommandError(f"'ip route add' needs a destination: {original!r}")
+            raise CommandError(f"'ip route' needs a destination: {original!r}")
         destination = rest[0]
         if destination == "default":
             destination = "0.0.0.0/0"
@@ -234,6 +246,11 @@ class ScriptRunner:
             else:
                 raise CommandError(f"unsupported route token {rest[i]!r}")
         namespace = self.host.namespace(netns)
+        if "/" not in destination:
+            destination += "/32"
+        if args[0] == "del":
+            namespace.remove_route(destination, device, gateway, table_id)
+            return
         if device is None and gateway is not None:
             hit = namespace.routes.lookup(gateway)
             if hit is None:
@@ -241,24 +258,23 @@ class ScriptRunner:
             device = hit.device
         if device is None:
             raise CommandError(f"route needs a device: {original!r}")
-        if "/" not in destination:
-            destination += "/32"
+        # A non-main table exists once it holds a route.
         table = (namespace.routes if table_id is None
-                 else namespace.route_table(table_id))
+                 else namespace.route_tables.get(table_id, RouteTable()))
         table.add_cidr(destination, device, gateway=gateway)
+        if table_id is not None:
+            namespace.route_tables[table_id] = table
 
     def _ip_rule(self, args: list[str], netns: str, original: str) -> None:
-        # ip rule add fwmark MARK table TABLE
-        if (len(args) >= 5 and args[0] == "add" and args[1] == "fwmark"
-                and args[3] == "table"):
-            mark_text = args[2]
-            if "/" in mark_text:
-                value, _, mask = mark_text.partition("/")
-                self.host.namespace(netns).add_policy_rule(
-                    int(value, 0), int(args[4]), mask=int(mask, 0))
+        # ip rule add|del fwmark MARK[/MASK] table TABLE
+        if (len(args) >= 5 and args[0] in ("add", "del")
+                and args[1] == "fwmark" and args[3] == "table"):
+            mark, mask = _mark_value(args[2])
+            namespace = self.host.namespace(netns)
+            if args[0] == "add":
+                namespace.add_policy_rule(mark, int(args[4]), mask=mask)
             else:
-                self.host.namespace(netns).add_policy_rule(
-                    int(mark_text, 0), int(args[4]))
+                namespace.remove_policy_rule(mark, int(args[4]), mask=mask)
             return
         raise CommandError(f"unsupported 'ip rule' form: {original!r}")
 
@@ -283,7 +299,7 @@ class ScriptRunner:
             namespace.xfrm.add_state(XfrmState(sa=sa))
             return
         if args[:2] == ["state", "flush"]:
-            namespace.xfrm.flush()
+            namespace.xfrm.flush_states()
             return
         if args[:2] == ["policy", "add"]:
             fields = _keyword_fields(args[2:])
@@ -304,7 +320,7 @@ class ScriptRunner:
             ))
             return
         if args[:2] == ["policy", "flush"]:
-            namespace.xfrm.flush()
+            namespace.xfrm.flush_policies()
             return
         raise CommandError(f"unsupported 'ip xfrm' form: {original!r}")
 
@@ -483,6 +499,41 @@ class ScriptRunner:
             self.host.set_sysctl(key, value)
             return
         raise CommandError(f"unsupported sysctl form: {original!r}")
+
+
+def inverse_script(commands: Iterable[str]) -> list[str]:
+    """The script that undoes ``commands``, newest command first.
+
+    ``iptables [-t T] -A C ...`` becomes ``-D C ...``; ``-N C`` becomes
+    ``-F C``, ``-X C``, and rules the script appended to ``C`` are left
+    to that flush; ``ip addr|route|rule add`` becomes ``... del``.  An
+    ``ip netns exec NS`` prefix is kept.  Any other command raises
+    :class:`CommandError`: nothing could undo it.
+    """
+    created: set[tuple[str, ...]] = set()
+    undo: list[list[list[str]]] = []
+    for command in commands:
+        argv = shlex.split(command)
+        head = argv[:4] if argv[:3] == ["ip", "netns", "exec"] else []
+        body = argv[len(head):]
+        if body[:1] == ["iptables"]:
+            head += body[:3] if body[1:2] == ["-t"] else body[:1]
+            tail = argv[len(head):]
+            verb, chain, rule = tail[:1], tail[1:2], tail[2:]
+            if verb == ["-N"] and chain and not rule:
+                created.add((*head, *chain))
+                undo.append([head + ["-F"] + chain, head + ["-X"] + chain])
+                continue
+            if verb == ["-A"] and chain and rule:
+                if (*head, *chain) not in created:
+                    undo.append([head + ["-D"] + chain + rule])
+                continue
+        elif (body[:1] == ["ip"] and body[2:3] == ["add"]
+                and body[1] in ("addr", "address", "route", "rule")):
+            undo.append([head + body[:2] + ["del"] + body[3:]])
+            continue
+        raise CommandError(f"no inverse for {command!r}")
+    return [shlex.join(argv) for group in reversed(undo) for argv in group]
 
 
 def _port_range(text: str) -> tuple[int, int]:

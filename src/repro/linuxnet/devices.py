@@ -88,6 +88,13 @@ class NetDevice:
         if self.namespace is not None:
             self.namespace._on_address_added(self, ip, prefix_len)
 
+    def remove_address(self, ip: str, prefix_len: int) -> None:
+        if (ip, prefix_len) not in self.addresses:
+            raise KeyError(f"address {ip}/{prefix_len} not on {self.name}")
+        self.addresses.remove((ip, prefix_len))
+        if self.namespace is not None:
+            self.namespace._on_address_removed(self, ip, prefix_len)
+
     def set_up(self) -> None:
         self.up = True
 

@@ -24,9 +24,9 @@ from repro.ipsec.sa import ReplayError
 from repro.linuxnet.conntrack import ConnState, ConnTrack, ConnTrackEntry, FlowTuple
 from repro.linuxnet.devices import Loopback, NetDevice
 from repro.linuxnet.iptables import Ruleset, Verdict
-from repro.linuxnet.routing import RouteTable
+from repro.linuxnet.routing import Route, RouteTable
 from repro.linuxnet.xfrm import XfrmDb, XfrmDirection
-from repro.net.addresses import BROADCAST_MAC, MacAddress
+from repro.net.addresses import BROADCAST_MAC, MacAddress, parse_cidr
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.icmp import IcmpMessage
 from repro.net.ipv4 import (
@@ -165,12 +165,17 @@ class NetworkNamespace:
         return device
 
     def remove_device(self, name: str) -> NetDevice:
+        """Detach ``name`` and, as Linux does, its routes in every
+        table; a non-main table left empty goes too."""
         try:
             device = self.devices.pop(name)
         except KeyError:
             raise KeyError(f"no device {name!r} in {self.name}") from None
         device.namespace = None
         self.routes.remove_device(name)
+        for table_id, table in list(self.route_tables.items()):
+            if table.remove_device(name) and not len(table):
+                del self.route_tables[table_id]
         return device
 
     def device(self, name: str) -> NetDevice:
@@ -189,16 +194,47 @@ class NetworkNamespace:
             except ValueError:
                 pass  # second address in the same subnet
 
-    def route_table(self, table_id: int) -> RouteTable:
-        """Get-or-create a non-main routing table."""
-        if table_id not in self.route_tables:
-            self.route_tables[table_id] = RouteTable()
-        return self.route_tables[table_id]
+    def _on_address_removed(self, device: NetDevice, ip: str,
+                            prefix_len: int) -> None:
+        # Mirror Linux: the connected route goes with the last address
+        # of its subnet on the device.
+        subnet = parse_cidr(f"{ip}/{prefix_len}")
+        route = Route(*subnet, device.name)
+        if prefix_len < 32 and route in self.routes and not any(
+                parse_cidr(f"{other}/{plen}") == subnet
+                for other, plen in device.addresses):
+            self.routes.remove(route)
+
+    def remove_route(self, cidr: str, device: Optional[str] = None,
+                     gateway: Optional[str] = None,
+                     table_id: Optional[int] = None) -> Route:
+        """``ip route del``: the first route to ``cidr`` that matches the
+        given device and gateway.  A non-main table left empty goes."""
+        table = (self.routes if table_id is None
+                 else self.route_tables.get(table_id, ()))
+        subnet = parse_cidr(cidr)
+        for route in table:
+            if ((route.network, route.prefix_len) == subnet
+                    and device in (None, route.device)
+                    and gateway in (None, route.gateway)):
+                table.remove(route)
+                if table_id is not None and not len(table):
+                    del self.route_tables[table_id]
+                return route
+        raise KeyError(f"no route {cidr} in table {table_id or 'main'}")
 
     def add_policy_rule(self, mark: int, table_id: int,
                         mask: int = 0xFFFFFFFF) -> None:
         """``ip rule add fwmark <mark> table <table_id>``."""
         self.policy_rules.append((mark, mask, table_id))
+
+    def remove_policy_rule(self, mark: int, table_id: int,
+                           mask: int = 0xFFFFFFFF) -> None:
+        """``ip rule del fwmark <mark> table <table_id>``."""
+        if (mark, mask, table_id) not in self.policy_rules:
+            raise KeyError(f"no rule fwmark {mark:#x}/{mask:#x} "
+                           f"table {table_id}")
+        self.policy_rules.remove((mark, mask, table_id))
 
     def fib_lookup(self, dst: str, mark: int = 0):
         """Policy-aware route lookup: fwmark rules first, then main.

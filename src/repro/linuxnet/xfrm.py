@@ -92,12 +92,6 @@ class XfrmDb:
                 "already installed")
         self._states[state.key] = state
 
-    def delete_state(self, dst: str, spi: int) -> None:
-        try:
-            del self._states[(dst, spi)]
-        except KeyError:
-            raise KeyError(f"no xfrm state dst={dst} spi={spi:#x}") from None
-
     def find_state(self, dst: str, spi: int) -> Optional[XfrmState]:
         return self._states.get((dst, spi))
 
@@ -117,12 +111,6 @@ class XfrmDb:
         self._policies.append(policy)
         self._policies.sort(key=lambda p: p.priority)
 
-    def delete_policies(self, direction: XfrmDirection) -> int:
-        before = len(self._policies)
-        self._policies = [p for p in self._policies
-                          if p.direction != direction]
-        return before - len(self._policies)
-
     def policies(self) -> list[XfrmPolicy]:
         return list(self._policies)
 
@@ -135,6 +123,8 @@ class XfrmDb:
         self.misses += 1
         return None
 
-    def flush(self) -> None:
+    def flush_states(self) -> None:
         self._states.clear()
+
+    def flush_policies(self) -> None:
         self._policies.clear()

@@ -30,12 +30,15 @@ _VID_BASE = 101
 
 @dataclass
 class GraphAttachment:
-    """Result of attaching one graph to the shared NNF."""
+    """Result of attaching one graph to the shared NNF.  ``path`` holds
+    each add-path command once it succeeded, so a detach undoes a
+    half-built path exactly."""
 
     graph_id: str
     mark: int
     port_vids: dict[str, int]       # logical port -> VLAN id
     port_devices: dict[str, str]    # logical port -> subinterface name
+    path: list[str] = field(default_factory=list)
 
 
 class AdaptationLayer:
@@ -87,12 +90,6 @@ class AdaptationLayer:
     def detach_graph(self, graph_id: str) -> GraphAttachment:
         try:
             return self._attachments.pop(graph_id)
-        except KeyError:
-            raise KeyError(f"graph {graph_id!r} not attached") from None
-
-    def attachment(self, graph_id: str) -> GraphAttachment:
-        try:
-            return self._attachments[graph_id]
         except KeyError:
             raise KeyError(f"graph {graph_id!r} not attached") from None
 

@@ -7,9 +7,11 @@ NF".  A script here is a list of command strings executed by
 host, so plugin behaviour is observable Linux state (namespaces,
 iptables rules, xfrm entries), not Python side effects.
 
-Sharable plugins additionally implement ``add_path``/``remove_path``
-scripts that build or tear down one *internal path* per service graph,
-keyed on the graph's mark (paper §2, requirement (ii)).
+Sharable plugins additionally write an ``add_path`` script building one
+*internal path* per service graph, keyed on the graph's mark (paper §2,
+requirement (ii)), and no script to remove it: on detach the NNF driver
+runs :func:`~repro.linuxnet.cmdline.inverse_script` of the path
+commands that succeeded, and on the last graph's detach none at all.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class NnfPlugin:
       multi-instance is exclusive: first graph wins;
     * ``single_interface`` — receives traffic on one interface only,
       so the adaptation layer must multiplex graphs onto it.
+
+    A sharable plugin writes :meth:`add_path_script` only.
     """
 
     name: str = "abstract"
@@ -108,12 +112,8 @@ class NnfPlugin:
 
     # -- sharable-NNF paths -------------------------------------------------------
     def add_path_script(self, ctx: PluginContext) -> list[str]:
-        """Create the isolated internal path for one graph (ctx.mark)."""
-        if not self.sharable:
-            raise PluginError(f"plugin {self.name} is not sharable")
-        return []
-
-    def remove_path_script(self, ctx: PluginContext) -> list[str]:
+        """Create the isolated internal path for one graph (ctx.mark);
+        each command needs an ``inverse_script`` row."""
         if not self.sharable:
             raise PluginError(f"plugin {self.name} is not sharable")
         return []

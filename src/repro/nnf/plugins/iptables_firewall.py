@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.nnf.configtrans import parse_port_list
 from repro.nnf.plugin import NnfPlugin, PluginContext
 from repro.nnf.plugins._routes import (
+    dedicated_address_commands,
     path_address_commands,
     path_routing_commands,
 )
@@ -61,17 +62,7 @@ class IptablesFirewallPlugin(NnfPlugin):
 
     # -- dedicated mode -----------------------------------------------------------
     def configure_script(self, ctx: PluginContext) -> list[str]:
-        lan, wan = ctx.port("lan"), ctx.port("wan")
-        commands = []
-        if "lan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['lan.address']} dev {lan}")
-        if "wan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['wan.address']} dev {wan}")
-        if "gateway" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip route add "
-                            f"default via {ctx.config['gateway']} dev {wan}")
+        commands = dedicated_address_commands(ctx)
         commands.append(
             f"ip netns exec {ctx.netns} iptables -N FW")
         commands.append(
@@ -93,12 +84,6 @@ class IptablesFirewallPlugin(NnfPlugin):
         return ([f"ip netns exec {ctx.netns} iptables -F {chain}"]
                 + self._policy_rules(ctx, chain))
 
-    def destroy_script(self, ctx: PluginContext) -> list[str]:
-        return [
-            f"ip netns exec {ctx.netns} iptables -F",
-            f"ip netns exec {ctx.netns} iptables -t mangle -F",
-        ]
-
     # -- shared mode ------------------------------------------------------------------
     def add_path_script(self, ctx: PluginContext) -> list[str]:
         if ctx.mark is None:
@@ -119,20 +104,3 @@ class IptablesFirewallPlugin(NnfPlugin):
         ])
         commands.extend(self._policy_rules(ctx, chain))
         return commands
-
-    def remove_path_script(self, ctx: PluginContext) -> list[str]:
-        if ctx.mark is None:
-            raise ValueError("shared path needs a mark")
-        lan, wan = ctx.port("lan"), ctx.port("wan")
-        mark = ctx.mark
-        chain = f"FW-{mark}"
-        prefix = f"ip netns exec {ctx.netns} iptables"
-        return [
-            f"ip netns exec {ctx.netns} iptables -t mangle -D PREROUTING "
-            f"-i {lan} -j MARK --set-mark {mark}",
-            f"ip netns exec {ctx.netns} iptables -t mangle -D PREROUTING "
-            f"-i {wan} -j MARK --set-mark {mark}",
-            f"{prefix} -D FORWARD -m mark --mark {mark} -j {chain}",
-            f"{prefix} -F {chain}",
-            f"{prefix} -X {chain}",
-        ]

@@ -9,16 +9,14 @@ defaulting to DROP so traffic cannot cross between graphs.
 
 from __future__ import annotations
 
-from repro.net.addresses import int_to_ip, parse_cidr
 from repro.nnf.plugin import NnfPlugin, PluginContext
+from repro.nnf.plugins._routes import (
+    dedicated_address_commands,
+    path_address_commands,
+    path_routing_commands,
+)
 
 __all__ = ["IptablesNatPlugin"]
-
-
-def _network_of(cidr: str) -> str:
-    """``192.168.1.1/24`` -> ``192.168.1.0/24`` (the connected subnet)."""
-    network, plen = parse_cidr(cidr)
-    return f"{int_to_ip(network)}/{plen}"
 
 
 class IptablesNatPlugin(NnfPlugin):
@@ -38,16 +36,7 @@ class IptablesNatPlugin(NnfPlugin):
 
     def configure_script(self, ctx: PluginContext) -> list[str]:
         lan, wan = ctx.port("lan"), ctx.port("wan")
-        commands = []
-        if "lan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['lan.address']} dev {lan}")
-        if "wan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['wan.address']} dev {wan}")
-        if "gateway" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip route add "
-                            f"default via {ctx.config['gateway']} dev {wan}")
+        commands = dedicated_address_commands(ctx)
         commands.extend([
             f"ip netns exec {ctx.netns} iptables -t nat -A POSTROUTING "
             f"-o {wan} -j MASQUERADE",
@@ -66,13 +55,6 @@ class IptablesNatPlugin(NnfPlugin):
             f"ip netns exec {ctx.netns} ip link set {wan} up",
         ]
 
-    def destroy_script(self, ctx: PluginContext) -> list[str]:
-        return [
-            f"ip netns exec {ctx.netns} iptables -F",
-            f"ip netns exec {ctx.netns} iptables -t nat -F",
-            f"ip netns exec {ctx.netns} iptables -t mangle -F",
-        ]
-
     # -- shared-instance mode ------------------------------------------------------
     def add_path_script(self, ctx: PluginContext) -> list[str]:
         """One graph's isolated path through the shared instance."""
@@ -80,33 +62,11 @@ class IptablesNatPlugin(NnfPlugin):
             raise ValueError("shared path needs a mark")
         lan, wan = ctx.port("lan"), ctx.port("wan")
         mark = ctx.mark
-        commands = []
-        if "lan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['lan.address']} dev {lan}")
-        if "wan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['wan.address']} dev {wan}")
+        commands = path_address_commands(ctx)
         # (ii) per-graph routing: a dedicated table selected by fwmark,
         # holding this graph's connected subnets and default route, so
         # paths through the shared component never mix.
-        if "lan.address" in ctx.config:
-            commands.append(
-                f"ip netns exec {ctx.netns} ip route add "
-                f"{_network_of(ctx.config['lan.address'])} dev {lan} "
-                f"table {mark}")
-        if "wan.address" in ctx.config:
-            commands.append(
-                f"ip netns exec {ctx.netns} ip route add "
-                f"{_network_of(ctx.config['wan.address'])} dev {wan} "
-                f"table {mark}")
-        if "gateway" in ctx.config:
-            commands.append(
-                f"ip netns exec {ctx.netns} ip route add default "
-                f"via {ctx.config['gateway']} dev {wan} table {mark}")
-        commands.append(
-            f"ip netns exec {ctx.netns} ip rule add fwmark {mark} "
-            f"table {mark}")
+        commands.extend(path_routing_commands(ctx))
         commands.extend([
             # (i) the ad-hoc marking mechanism: per-graph ingress mark
             f"ip netns exec {ctx.netns} iptables -t mangle -A PREROUTING "
@@ -126,24 +86,3 @@ class IptablesNatPlugin(NnfPlugin):
             f"-m mark --mark {mark} -o {wan} -j MASQUERADE",
         ])
         return commands
-
-    def remove_path_script(self, ctx: PluginContext) -> list[str]:
-        if ctx.mark is None:
-            raise ValueError("shared path needs a mark")
-        lan, wan = ctx.port("lan"), ctx.port("wan")
-        mark = ctx.mark
-        return [
-            f"ip netns exec {ctx.netns} iptables -t mangle -D PREROUTING "
-            f"-i {lan} -j MARK --set-mark {mark}",
-            f"ip netns exec {ctx.netns} iptables -t mangle -D PREROUTING "
-            f"-i {wan} -j MARK --set-mark {mark}",
-            f"ip netns exec {ctx.netns} iptables -t mangle -D PREROUTING "
-            f"-m mark --mark {mark} -j CONNMARK --save-mark",
-            f"ip netns exec {ctx.netns} iptables -D FORWARD "
-            f"-m mark --mark {mark} -i {lan} -o {wan} -j ACCEPT",
-            f"ip netns exec {ctx.netns} iptables -D FORWARD "
-            f"-m mark --mark {mark} -i {wan} -o {lan} "
-            f"-m conntrack --ctstate ESTABLISHED,RELATED -j ACCEPT",
-            f"ip netns exec {ctx.netns} iptables -t nat -D POSTROUTING "
-            f"-m mark --mark {mark} -o {wan} -j MASQUERADE",
-        ]

@@ -3,7 +3,8 @@
 Sharable as an L2 component: the shared instance is one vlan-filtering
 bridge; each service graph's traffic stays tagged with the graph's VLAN
 across the bridge, so FDB learning and forwarding are isolated per
-graph (per-VLAN FDB = the "multiple internal paths").
+graph (per-VLAN FDB = the "multiple internal paths").  A graph's VLAN
+id is the same on every port, so the inherited add-path script is empty.
 """
 
 from __future__ import annotations
@@ -42,14 +43,3 @@ class LinuxBridgePlugin(NnfPlugin):
                     for _port, device in sorted(ctx.ports.items())]
         commands.append(f"brctl delbr {bridge}")
         return commands
-
-    # -- shared mode -------------------------------------------------------------
-    # In shared mode the trunk ports stay enslaved permanently and carry
-    # tagged traffic; attaching a graph requires no extra bridge
-    # commands because the per-graph VLAN is preserved end-to-end (the
-    # adaptation layer uses per-graph, not per-port, VLAN ids).
-    def add_path_script(self, ctx: PluginContext) -> list[str]:
-        return []
-
-    def remove_path_script(self, ctx: PluginContext) -> list[str]:
-        return []

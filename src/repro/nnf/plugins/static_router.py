@@ -8,6 +8,7 @@ the sharability ablation.
 from __future__ import annotations
 
 from repro.nnf.plugin import NnfPlugin, PluginContext
+from repro.nnf.plugins._routes import dedicated_address_commands
 
 __all__ = ["StaticRouterPlugin"]
 
@@ -26,17 +27,7 @@ class StaticRouterPlugin(NnfPlugin):
         ]
 
     def configure_script(self, ctx: PluginContext) -> list[str]:
-        lan, wan = ctx.port("lan"), ctx.port("wan")
-        commands = []
-        if "lan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['lan.address']} dev {lan}")
-        if "wan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['wan.address']} dev {wan}")
-        if "gateway" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip route add "
-                            f"default via {ctx.config['gateway']} dev {wan}")
+        commands = dedicated_address_commands(ctx)
         for key, value in sorted(ctx.config.items()):
             if key.startswith("route."):
                 # route.<n> = "<cidr> via <gw>" or "<cidr> dev <port>"

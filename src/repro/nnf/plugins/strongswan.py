@@ -21,6 +21,7 @@ import hashlib
 
 from repro.ipsec.crypto import derive_keys
 from repro.nnf.plugin import NnfPlugin, PluginContext
+from repro.nnf.plugins._routes import dedicated_address_commands
 
 __all__ = ["StrongswanPlugin", "tunnel_sa_parameters"]
 
@@ -68,21 +69,11 @@ class StrongswanPlugin(NnfPlugin):
     def configure_script(self, ctx: PluginContext) -> list[str]:
         for key in self.REQUIRED:
             ctx.require_config(key)
-        lan, wan = ctx.port("lan"), ctx.port("wan")
-        commands = []
-        if "lan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['lan.address']} dev {lan}")
-        if "wan.address" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip addr add "
-                            f"{ctx.config['wan.address']} dev {wan}")
-        if "gateway" in ctx.config:
-            commands.append(f"ip netns exec {ctx.netns} ip route add "
-                            f"default via {ctx.config['gateway']} dev {wan}")
+        commands = dedicated_address_commands(ctx)
         # Route protected remote traffic towards the tunnel device.
         commands.append(
             f"ip netns exec {ctx.netns} ip route add "
-            f"{ctx.config['ipsec.remote_subnet']} dev {wan}")
+            f"{ctx.config['ipsec.remote_subnet']} dev {ctx.port('wan')}")
         return commands
 
     def start_script(self, ctx: PluginContext) -> list[str]:
@@ -111,7 +102,10 @@ class StrongswanPlugin(NnfPlugin):
         ]
 
     def stop_script(self, ctx: PluginContext) -> list[str]:
-        return [f"ip netns exec {ctx.netns} ip xfrm state flush"]
+        """Withdraw the kernel SAs and policies :meth:`start_script`
+        installed, so a restart installs them afresh."""
+        return [f"ip netns exec {ctx.netns} ip xfrm state flush",
+                f"ip netns exec {ctx.netns} ip xfrm policy flush"]
 
     def destroy_script(self, ctx: PluginContext) -> list[str]:
-        return [f"ip netns exec {ctx.netns} ip xfrm state flush"]
+        return self.stop_script(ctx)

@@ -5,7 +5,10 @@ Paper §2: a NNF that cannot spin up multiple instances must be
 (i) an ad-hoc marking mechanism distinguishing the graphs' traffic and
 (ii) per-graph isolated internal paths.  This module owns the shared
 instances: it hands each deploying graph a mark + adaptation-layer
-attachment and asks the plugin for its add-path script.
+attachment, whose ``path`` records the plugin's add-path commands as
+they succeed.  Plugins write the add-path script only: detaching a graph
+runs the recorded path's inverse and deletes its subinterfaces, and
+detaching the last graph runs neither, as ``ip netns del`` does it all.
 """
 
 from __future__ import annotations

@@ -499,6 +499,8 @@ def _compile_sink(action: "Output | SelectOutput | Controller"):
         handler = dp.packet_in_handler
         if handler is not None:
             handler(dp, in_port, current)
+        else:
+            dp.dropped += 1  # no controller to punt to
     return punt
 
 

@@ -667,6 +667,8 @@ class Datapath:
                 emitted = True
                 if self.packet_in_handler is not None:
                     self.packet_in_handler(self, in_port, current)
+                else:
+                    self.dropped += 1
             elif isinstance(action, (PushVlan, PopVlan, SetField)):
                 try:
                     current = action.apply(current)

@@ -196,6 +196,24 @@ class TestLiveUpdate:
             == [b"through-both"]
 
 
+class TestStrongswanHeal:
+    def test_heal_restart_reinstalls_exactly_its_sas_and_policies(
+            self, node):
+        """A heal runs the stop script, then the start script: the
+        flushes withdraw both the SAs and the policies, so the restart
+        installs two of each again, not four policies."""
+        from repro.perf.table1 import _probe_esp, ipsec_cpe_graph
+        record = node.deploy(ipsec_cpe_graph("ipsec", "native"))
+        instance = record.instances["vpn"]
+        xfrm = node.host.namespace(instance.netns).xfrm
+        assert (len(xfrm.states()), len(xfrm.policies())) == (2, 2)
+        instance.transition("fail")
+        node.compute.restart(instance.instance_id)
+        assert instance.is_running
+        assert (len(xfrm.states()), len(xfrm.policies())) == (2, 2)
+        assert _probe_esp(node) == (True, True)
+
+
 class TestDpdkOnDatacenterNode:
     def test_dpdk_chain_forwards(self):
         node = ComputeNode(

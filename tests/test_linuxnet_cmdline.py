@@ -119,6 +119,25 @@ def test_xfrm_state_and_policy(runner):
     assert len(ns.xfrm.policies()) == 1
 
 
+def test_xfrm_flushes_are_separate(runner):
+    """As in Linux: ``state flush`` keeps policies, ``policy flush``
+    keeps states."""
+    key = "aa" * 16
+    runner.run_script([
+        "ip xfrm state add src 203.0.113.1 dst 203.0.113.2 proto esp "
+        f"spi 0x1001 enc {key} auth {key}",
+        "ip xfrm policy add src 192.168.1.0/24 dst 192.168.2.0/24 dir out "
+        "tmpl src 203.0.113.1 dst 203.0.113.2",
+    ])
+    xfrm = runner.host.root.xfrm
+    runner.run("ip xfrm state flush")
+    assert xfrm.states() == [] and len(xfrm.policies()) == 1
+    runner.run("ip xfrm state add src 203.0.113.1 dst 203.0.113.2 "
+               f"proto esp spi 0x1001 enc {key} auth {key}")
+    runner.run("ip xfrm policy flush")
+    assert len(xfrm.states()) == 1 and xfrm.policies() == []
+
+
 def test_brctl_and_master(runner):
     runner.run_script([
         "brctl addbr br0",

@@ -82,6 +82,33 @@ class TestVlanDevices:
         assert sub.vid == 7 and sub.up
 
 
+    def test_deleted_subinterface_leaves_parent_and_every_table(self):
+        """``ip link del`` of a subinterface, as Linux does it: the
+        parent stops demuxing its tag, and its routes go from every
+        table, a non-main table it empties with them."""
+        host = LinuxHost()
+        runner = ScriptRunner(host)
+        runner.run_script([
+            "ip netns add nnf",
+            "ip link add t0 type veth peer name mux0",
+            "ip link set mux0 netns nnf",
+            "ip netns exec nnf ip link add link mux0 name mux0.7 "
+            "type vlan id 7",
+            "ip netns exec nnf ip link add link mux0 name mux0.8 "
+            "type vlan id 8",
+            "ip netns exec nnf ip addr add 10.7.0.1/24 dev mux0.7",
+            "ip netns exec nnf ip route add 10.7.0.0/24 dev mux0.7 table 7",
+            "ip netns exec nnf ip route add 10.8.0.0/24 dev mux0.8 table 9",
+            "ip netns exec nnf ip route add 10.7.1.0/24 dev mux0.7 table 9",
+        ])
+        ns = host.namespace("nnf")
+        runner.run("ip netns exec nnf ip link del mux0.7")
+        assert sorted(ns.device("mux0").vlan_subdevices) == [8]
+        assert [r.device for r in ns.routes] == []
+        assert sorted(ns.route_tables) == [9]
+        assert [r.cidr for r in ns.route_tables[9]] == ["10.8.0.0/24"]
+
+
 class TestLinuxHost:
     def test_root_namespace_protected(self):
         host = LinuxHost()

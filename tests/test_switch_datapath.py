@@ -5,6 +5,7 @@ import pytest
 from repro.linuxnet import VethPair
 from repro.net import MacAddress, make_udp_frame, parse_frame
 from repro.switch import (
+    Controller,
     Datapath,
     FlowEntry,
     FlowMatch,
@@ -64,6 +65,23 @@ def test_packet_in_handler_called_on_miss():
     in_pair.b.transmit(frame())
     assert len(punted) == 1
     assert punted[0][0] == in_port.port_no
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_punt_without_handler_is_a_counted_drop(batched):
+    """A Controller action with no controller loses the frame counted."""
+    dp = Datapath(1)
+    in_port = dp.add_port("in")
+    assert in_port.port_no == 1
+    dp.install(FlowEntry(match=FlowMatch(in_port=1),
+                         actions=(Controller(),)))
+    if batched:
+        dp.process_batch_from(1, [frame()])
+    else:
+        dp.process(1, frame())
+    assert dp.rx_packets == 1
+    assert dp.dropped == 1
+    assert dp.table_misses == 0
 
 
 def test_vlan_push_then_pop_roundtrip():
