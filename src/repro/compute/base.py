@@ -15,6 +15,15 @@ configuration is produced by the NNF *plugins* regardless of packaging
 technology — a strongSwan VM and a strongSwan NNF run the same
 component, so they are configured by the same command generator; only
 the wrapping (and its costs) differ.
+
+Plugins write no update script.  The driver records each configure
+command on the instance as it succeeds (:attr:`NfInstance.configured`),
+and an update is the diff between that record and the newly rendered
+script: the record's differing suffix is undone newest first through
+:func:`~repro.linuxnet.cmdline.inverse_script`, then the new suffix
+runs.  A changed start script, or a daemon a script cannot express
+(:meth:`~repro.nnf.plugin.NnfPlugin.post_start`), ends the update with
+the instance's stop and start sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Optional
 
 from repro.catalog.templates import Technology
 from repro.compute.instances import InstanceSpec, InstanceState, NfInstance
-from repro.linuxnet.cmdline import ScriptRunner
+from repro.linuxnet.cmdline import ScriptRunner, inverse_script
 from repro.linuxnet.host import LinuxHost
 from repro.nnf.plugin import NnfPlugin, PluginContext
 from repro.nnf.registry import NnfRegistry
@@ -79,6 +88,35 @@ class ComputeDriver:
         self.commands_run += len(commands)
         self.runner.run_script(commands)
 
+    def _apply(self, applied: list[str], script: list[str]) -> None:
+        """Bring ``applied``, the commands that ran, to ``script``.
+
+        The longest common prefix stays.  The rest of ``applied`` is
+        undone newest first and the rest of ``script`` runs, each
+        command recorded or popped as it succeeds, so ``applied``
+        always equals what is applied and a failed call resumes from
+        it.
+        """
+        keep = 0
+        for ran, wanted in zip(applied, script):
+            if ran != wanted:
+                break
+            keep += 1
+        while len(applied) > keep:
+            self._run(inverse_script(applied[-1:]))
+            applied.pop()
+        for command in script[keep:]:
+            self._run([command])
+            applied.append(command)
+
+    def _stop_plugin(self, plugin: NnfPlugin, ctx: PluginContext) -> None:
+        self._run(plugin.stop_script(ctx))
+        plugin.post_stop(ctx, self.host)
+
+    def _start_plugin(self, plugin: NnfPlugin, ctx: PluginContext) -> None:
+        self._run(plugin.start_script(ctx))
+        plugin.post_start(ctx, self.host)
+
     def _create_namespace_and_ports(self, spec: InstanceSpec) -> NfInstance:
         netns = self._netns_name(spec)
         self._run([f"ip netns add {netns}"])
@@ -125,17 +163,21 @@ class ComputeDriver:
         self.instances_created += 1
         return instance
 
+    def _configure_script(self, plugin: NnfPlugin, instance: NfInstance,
+                          ctx: PluginContext) -> list[str]:
+        return plugin.configure_script(ctx)
+
     def configure(self, instance: NfInstance) -> None:
         plugin = self._named_plugin(instance)
         if plugin is not None:
-            self._run(plugin.configure_script(self._context(instance)))
+            self._apply(instance.configured, self._configure_script(
+                plugin, instance, self._context(instance)))
         instance.transition("configure")
 
     def start(self, instance: NfInstance) -> None:
         plugin = self._named_plugin(instance)
         if plugin is not None:
-            self._run(plugin.start_script(self._context(instance)))
-            plugin.post_start(self._context(instance), self.host)
+            self._start_plugin(plugin, self._context(instance))
         else:
             self._run([f"ip netns exec {instance.netns} ip link set "
                        f"{device} up"
@@ -145,17 +187,30 @@ class ComputeDriver:
     def stop(self, instance: NfInstance) -> None:
         plugin = self._named_plugin(instance)
         if plugin is not None:
-            self._run(plugin.stop_script(self._context(instance)))
-            plugin.post_stop(self._context(instance), self.host)
+            self._stop_plugin(plugin, self._context(instance))
         instance.transition("stop")
 
     def update(self, instance: NfInstance,
                new_config: dict[str, str]) -> None:
-        instance.spec.config.clear()
-        instance.spec.config.update(new_config)
+        """Apply ``new_config`` to a running instance.
+
+        The instance keeps its old config until the update succeeded,
+        so a failed update is retried from what is applied.
+        """
+        config = dict(new_config)
         plugin = self._named_plugin(instance)
         if plugin is not None:
-            self._run(plugin.update_script(self._context(instance)))
+            old, new = self._context(instance), self._context(instance)
+            new.config = config
+            self._apply(instance.configured,
+                        self._configure_script(plugin, instance, new))
+            if not instance.shared and (
+                    type(plugin).post_start is not NnfPlugin.post_start
+                    or plugin.start_script(old) != plugin.start_script(new)):
+                self._stop_plugin(plugin, old)
+                self._start_plugin(plugin, new)
+        instance.spec.config.clear()
+        instance.spec.config.update(config)
         instance.transition("update")
 
     def destroy(self, instance: NfInstance) -> None:
@@ -188,12 +243,10 @@ class ComputeDriver:
         plugin = self._named_plugin(instance)
         if plugin is not None:
             try:
-                self._run(plugin.stop_script(self._context(instance)))
-                plugin.post_stop(self._context(instance), self.host)
+                self._stop_plugin(plugin, self._context(instance))
             except Exception:
                 pass  # the dead NF may not answer its stop scripts
-            self._run(plugin.start_script(self._context(instance)))
-            plugin.post_start(self._context(instance), self.host)
+            self._start_plugin(plugin, self._context(instance))
         else:
             self._run([f"ip netns exec {instance.netns} ip link set "
                        f"{device} up"

@@ -17,10 +17,13 @@ Two instantiation modes:
   trunk port, per-graph VLAN subinterfaces, per-graph marks, and the
   plugin's ``add_path`` script building the isolated internal path.
 
-Plugins write the add-path script only: each path command is recorded
-on the graph's attachment as it succeeds, and detach runs its
-:func:`~repro.linuxnet.cmdline.inverse_script`.  A last-tenant detach
-runs none, as ``ip netns del`` removes the whole component.
+Plugins write configure and add-path scripts only.  Each command is
+recorded as it succeeds (a shared instance's record is its graph's
+attachment ``path``), and an update is the diff against that record,
+as in :meth:`~repro.compute.base.ComputeDriver.update`.  A detach runs
+the record's :func:`~repro.linuxnet.cmdline.inverse_script`; a
+last-tenant detach runs none, as ``ip netns del`` removes the whole
+component.
 """
 
 from __future__ import annotations
@@ -116,10 +119,6 @@ class NativeDriver(ComputeDriver):
                                       netns=shared.netns,
                                       config=dict(spec.config))
             self._run(plugin.create_script(bootstrap))
-        # L2 plugins need the same VLAN on every port so the tag
-        # survives across the component.
-        if plugin.functional_type == "bridge":
-            shared.adaptation.per_port_vids = False
         attachment = self.shared.attach(plugin.name, spec.graph_id,
                                         list(spec.logical_ports))
         self._run(shared.adaptation.subinterface_commands(
@@ -128,7 +127,8 @@ class NativeDriver(ComputeDriver):
         instance = NfInstance(spec=spec, technology=self.technology,
                               netns=shared.netns, shared=True,
                               mark=attachment.mark,
-                              plugin_name=plugin.name)
+                              plugin_name=plugin.name,
+                              configured=attachment.path)
         instance.boot_seconds = self.boot_seconds if created else 0.05
         for logical in spec.logical_ports:
             instance.switch_devices[logical] = trunk_device
@@ -141,56 +141,40 @@ class NativeDriver(ComputeDriver):
         return instance
 
     # -- configure / start / destroy -----------------------------------------------
-    def configure(self, instance: NfInstance) -> None:
-        plugin = self.registry.get(instance.plugin_name)
+    def _configure_script(self, plugin: NnfPlugin, instance: NfInstance,
+                          ctx: PluginContext) -> list[str]:
         if instance.shared:
-            path = self.shared.instance_of(plugin.name).attachments[
-                instance.graph_id].path
-            for command in plugin.add_path_script(self._context(instance)):
-                self._run([command])
-                path.append(command)
-        else:
-            self._run(plugin.configure_script(self._context(instance)))
-        instance.transition("configure")
+            return plugin.add_path_script(ctx)
+        return plugin.configure_script(ctx)
 
     def start(self, instance: NfInstance) -> None:
-        plugin = self.registry.get(instance.plugin_name)
-        if instance.shared:
-            # Subinterfaces were raised at attach time; the component
-            # itself is already live.
-            for device in instance.inner_devices.values():
-                self._run([f"ip netns exec {instance.netns} "
-                           f"ip link set {device} up"])
-        else:
-            self._run(plugin.start_script(self._context(instance)))
-            plugin.post_start(self._context(instance), self.host)
+        if not instance.shared:
+            super().start(instance)
+            return
+        # Subinterfaces were raised at attach time; the component
+        # itself is already live.
+        self._raise_subinterfaces(instance)
         instance.transition("start")
 
     def stop(self, instance: NfInstance) -> None:
-        plugin = self.registry.get(instance.plugin_name)
         if not instance.shared:
-            self._run(plugin.stop_script(self._context(instance)))
-            plugin.post_stop(self._context(instance), self.host)
+            super().stop(instance)
+            return
         instance.transition("stop")
 
     def restart(self, instance: NfInstance) -> None:
-        plugin = self.registry.get(instance.plugin_name)
-        if instance.shared:
-            # The component is shared across graphs — restarting one
-            # attachment only re-raises its subinterfaces.
-            for device in instance.inner_devices.values():
-                self._run([f"ip netns exec {instance.netns} "
-                           f"ip link set {device} up"])
-            instance.transition("restart")
+        if not instance.shared:
+            super().restart(instance)
             return
-        try:
-            self._run(plugin.stop_script(self._context(instance)))
-            plugin.post_stop(self._context(instance), self.host)
-        except Exception:
-            pass  # dead component may not answer its stop scripts
-        self._run(plugin.start_script(self._context(instance)))
-        plugin.post_start(self._context(instance), self.host)
+        # The component is shared across graphs — restarting one
+        # attachment only re-raises its subinterfaces.
+        self._raise_subinterfaces(instance)
         instance.transition("restart")
+
+    def _raise_subinterfaces(self, instance: NfInstance) -> None:
+        for device in instance.inner_devices.values():
+            self._run([f"ip netns exec {instance.netns} "
+                       f"ip link set {device} up"])
 
     def health(self, instance: NfInstance) -> Health:
         base = super().health(instance)

@@ -81,6 +81,9 @@ class NfInstance:
     shared: bool = False
     mark: Optional[int] = None
     plugin_name: Optional[str] = None
+    #: configure (dedicated) or add-path (shared) commands that
+    #: succeeded, in order; updates and detaches diff against it
+    configured: list[str] = field(default_factory=list)
 
     @property
     def instance_id(self) -> str:

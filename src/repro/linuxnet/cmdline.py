@@ -25,12 +25,15 @@ Supported commands (the subset the plugins use):
 * ``sysctl -w KEY=VALUE``
 * ``true`` / ``echo ...`` (no-ops, so scripts can log)
 
-:func:`inverse_script` maps a path script to the one that undoes it.
+Words are separated by whitespace and there is no quoting: a command
+containing ``'``, ``"`` or ``\\`` is a :class:`CommandError`, so the
+words of a command and the command rebuilt from them with ``" "`` are
+interchangeable.  :func:`inverse_script` maps a configure or path
+script to the one that undoes it.
 """
 
 from __future__ import annotations
 
-import shlex
 from typing import Iterable, Optional
 
 from repro.ipsec.sa import SecurityAssociation
@@ -71,13 +74,9 @@ class ScriptRunner:
 
     def run(self, command: str) -> None:
         """Execute a single command string."""
-        try:
-            argv = shlex.split(command)
-        except ValueError as exc:
-            raise CommandError(f"unparseable command {command!r}: {exc}")
-        if not argv:
-            return
-        self._dispatch(argv, self.default_namespace, command)
+        argv = _words(command)
+        if argv:
+            self._dispatch(argv, self.default_namespace, command)
 
     # -- dispatch ---------------------------------------------------------------
     def _dispatch(self, argv: list[str], netns: str, original: str) -> None:
@@ -89,7 +88,7 @@ class ScriptRunner:
         elif program == "iptables":
             self._iptables(argv[1:], netns, original)
         elif program == "brctl":
-            self._brctl(argv[1:], original)
+            self._brctl(argv[1:], netns, original)
         elif program == "sysctl":
             self._sysctl(argv[1:], netns, original)
         else:
@@ -463,7 +462,7 @@ class ScriptRunner:
                     target_args=target_args)
 
     # -- brctl -----------------------------------------------------------------
-    def _brctl(self, args: list[str], original: str) -> None:
+    def _brctl(self, args: list[str], netns: str, original: str) -> None:
         if len(args) >= 2 and args[0] == "addbr":
             self.host.create_bridge(args[1])
         elif len(args) >= 2 and args[0] == "delbr":
@@ -472,10 +471,11 @@ class ScriptRunner:
             bridge = self.host.bridges.get(args[1])
             if bridge is None:
                 raise CommandError(f"no bridge {args[1]!r}")
-            found = self.host.find_device(args[2])
-            if found is None:
-                raise CommandError(f"no device {args[2]!r}")
-            bridge.add_port(found[1])
+            device = self.host.namespace(netns).devices.get(args[2])
+            if device is None:
+                raise CommandError(
+                    f"no device {args[2]!r} in netns {netns!r}")
+            bridge.add_port(device)
         elif len(args) >= 3 and args[0] == "delif":
             bridge = self.host.bridges.get(args[1])
             if bridge is None:
@@ -513,7 +513,7 @@ def inverse_script(commands: Iterable[str]) -> list[str]:
     created: set[tuple[str, ...]] = set()
     undo: list[list[list[str]]] = []
     for command in commands:
-        argv = shlex.split(command)
+        argv = _words(command)
         head = argv[:4] if argv[:3] == ["ip", "netns", "exec"] else []
         body = argv[len(head):]
         if body[:1] == ["iptables"]:
@@ -533,7 +533,14 @@ def inverse_script(commands: Iterable[str]) -> list[str]:
             undo.append([head + body[:2] + ["del"] + body[3:]])
             continue
         raise CommandError(f"no inverse for {command!r}")
-    return [shlex.join(argv) for group in reversed(undo) for argv in group]
+    return [" ".join(argv) for group in reversed(undo) for argv in group]
+
+
+def _words(command: str) -> list[str]:
+    """The words of ``command``; quoting is refused, not interpreted."""
+    if "'" in command or '"' in command or "\\" in command:
+        raise CommandError(f"quoting is not supported: {command!r}")
+    return command.split()
 
 
 def _port_range(text: str) -> tuple[int, int]:

@@ -209,19 +209,25 @@ class NetworkNamespace:
                      gateway: Optional[str] = None,
                      table_id: Optional[int] = None) -> Route:
         """``ip route del``: the first route to ``cidr`` that matches the
-        given device and gateway.  A non-main table left empty goes."""
+        given device and gateway, preferring one whose gateway is the
+        given one (a route without ``via`` when none is given), so the
+        inverse of an ``ip route add`` removes that route.  A non-main
+        table left empty goes."""
         table = (self.routes if table_id is None
                  else self.route_tables.get(table_id, ()))
         subnet = parse_cidr(cidr)
-        for route in table:
-            if ((route.network, route.prefix_len) == subnet
-                    and device in (None, route.device)
-                    and gateway in (None, route.gateway)):
-                table.remove(route)
-                if table_id is not None and not len(table):
-                    del self.route_tables[table_id]
-                return route
-        raise KeyError(f"no route {cidr} in table {table_id or 'main'}")
+        matches = [route for route in table
+                   if (route.network, route.prefix_len) == subnet
+                   and device in (None, route.device)
+                   and gateway in (None, route.gateway)]
+        if not matches:
+            raise KeyError(f"no route {cidr} in table {table_id or 'main'}")
+        route = next((r for r in matches if r.gateway == gateway),
+                     matches[0])
+        table.remove(route)
+        if table_id is not None and not len(table):
+            del self.route_tables[table_id]
+        return route
 
     def add_policy_rule(self, mark: int, table_id: int,
                         mask: int = 0xFFFFFFFF) -> None:

@@ -20,7 +20,6 @@ Realisation (matching how this is done on real Linux):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["AdaptationLayer", "GraphAttachment"]
 
@@ -45,14 +44,8 @@ class AdaptationLayer:
     """VLAN id and subinterface bookkeeping for one shared NNF instance."""
 
     def __init__(self, trunk_device: str = "mux0",
-                 vid_base: int = _VID_BASE,
-                 per_port_vids: bool = True) -> None:
-        """``per_port_vids=False`` gives every logical port of a graph
-        the *same* VLAN id (the graph mark as a tag) — what an L2
-        component like a vlan-filtering bridge needs, where the tag
-        must survive across the component."""
+                 vid_base: int = _VID_BASE) -> None:
         self.trunk_device = trunk_device
-        self.per_port_vids = per_port_vids
         self._next_vid = vid_base
         self._next_mark = 1
         self._attachments: dict[str, GraphAttachment] = {}
@@ -68,16 +61,9 @@ class AdaptationLayer:
         self._next_mark += 1
         vids: dict[str, int] = {}
         devices: dict[str, str] = {}
-        shared_vid: Optional[int] = None
-        if not self.per_port_vids:
-            shared_vid = self._next_vid
-            self._next_vid += 1
         for port in logical_ports:
-            if shared_vid is not None:
-                vid = shared_vid
-            else:
-                vid = self._next_vid
-                self._next_vid += 1
+            vid = self._next_vid
+            self._next_vid += 1
             if vid > 4094:
                 raise OverflowError("VLAN id space exhausted on this NNF")
             vids[port] = vid

@@ -7,11 +7,14 @@ NF".  A script here is a list of command strings executed by
 host, so plugin behaviour is observable Linux state (namespaces,
 iptables rules, xfrm entries), not Python side effects.
 
-Sharable plugins additionally write an ``add_path`` script building one
-*internal path* per service graph, keyed on the graph's mark (paper §2,
-requirement (ii)), and no script to remove it: on detach the NNF driver
-runs :func:`~repro.linuxnet.cmdline.inverse_script` of the path
-commands that succeeded, and on the last graph's detach none at all.
+Plugins write configure scripts, and sharable plugins an ``add_path``
+script building one *internal path* per service graph, keyed on the
+graph's mark (paper §2, requirement (ii)).  They write no script to
+update or remove either: the driver records each command as it
+succeeds, an update is the diff between that record and the newly
+rendered script, and a detach runs
+:func:`~repro.linuxnet.cmdline.inverse_script` of the record (none at
+all on the last graph's detach).
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class NnfPlugin:
     * ``single_interface`` — receives traffic on one interface only,
       so the adaptation layer must multiplex graphs onto it.
 
-    A sharable plugin writes :meth:`add_path_script` only.
+    A configure or add-path command that depends on the config needs
+    an ``inverse_script`` row: the driver undoes it on an update.
     """
 
     name: str = "abstract"
@@ -102,10 +106,6 @@ class NnfPlugin:
 
     def stop_script(self, ctx: PluginContext) -> list[str]:
         return []
-
-    def update_script(self, ctx: PluginContext) -> list[str]:
-        """Re-apply changed configuration on a running instance."""
-        return self.configure_script(ctx)
 
     def destroy_script(self, ctx: PluginContext) -> list[str]:
         return []

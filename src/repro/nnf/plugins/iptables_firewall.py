@@ -8,17 +8,28 @@ kernel component.
 
 from __future__ import annotations
 
-from repro.nnf.configtrans import parse_port_list
-from repro.nnf.plugin import NnfPlugin, PluginContext
+from repro.nnf.plugin import NnfPlugin, PluginContext, PluginError
 from repro.nnf.plugins._routes import (
     dedicated_address_commands,
     path_address_commands,
     path_routing_commands,
 )
 
-__all__ = ["IptablesFirewallPlugin"]
+__all__ = ["IptablesFirewallPlugin", "parse_port_list"]
 
-_PROTO_NUM = {"tcp": "tcp", "udp": "udp"}
+
+def parse_port_list(text: str) -> list[tuple[str, int]]:
+    """Parse ``"tcp:22,udp:53"`` into [("tcp", 22), ("udp", 53)]."""
+    entries: list[tuple[str, int]] = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        proto, _, port_text = chunk.partition(":")
+        if proto not in ("tcp", "udp") or not port_text.isdigit():
+            raise PluginError(f"bad port spec {chunk!r}")
+        entries.append((proto, int(port_text)))
+    return entries
 
 
 class IptablesFirewallPlugin(NnfPlugin):
@@ -41,19 +52,22 @@ class IptablesFirewallPlugin(NnfPlugin):
         prefix = f"ip netns exec {ctx.netns} iptables"
         allow = ctx.config.get("firewall.allow")
         deny = ctx.config.get("firewall.deny")
+        # A repeated port would render two identical rules, and
+        # ``iptables -D`` removes the first match, so an update's undo
+        # would reorder the chain: render each port once.
         if allow:
-            for proto, port in parse_port_list(allow):
+            for proto, port in dict.fromkeys(parse_port_list(allow)):
                 commands.append(
-                    f"{prefix} -A {chain} -p {_PROTO_NUM[proto]} "
+                    f"{prefix} -A {chain} -p {proto} "
                     f"--dport {port} -j ACCEPT")
             commands.append(
                 f"{prefix} -A {chain} -m conntrack "
                 f"--ctstate ESTABLISHED,RELATED -j ACCEPT")
             commands.append(f"{prefix} -A {chain} -j DROP")
         elif deny:
-            for proto, port in parse_port_list(deny):
+            for proto, port in dict.fromkeys(parse_port_list(deny)):
                 commands.append(
-                    f"{prefix} -A {chain} -p {_PROTO_NUM[proto]} "
+                    f"{prefix} -A {chain} -p {proto} "
                     f"--dport {port} -j DROP")
             commands.append(f"{prefix} -A {chain} -j ACCEPT")
         else:
@@ -73,16 +87,6 @@ class IptablesFirewallPlugin(NnfPlugin):
     def start_script(self, ctx: PluginContext) -> list[str]:
         return [f"ip netns exec {ctx.netns} ip link set {dev} up"
                 for dev in (ctx.port("lan"), ctx.port("wan"))]
-
-    def update_script(self, ctx: PluginContext) -> list[str]:
-        """Flush and rebuild the policy chain in place.
-
-        Works for both modes: the dedicated chain is ``FW``, a shared
-        path's chain is ``FW-<mark>``.
-        """
-        chain = f"FW-{ctx.mark}" if ctx.mark is not None else "FW"
-        return ([f"ip netns exec {ctx.netns} iptables -F {chain}"]
-                + self._policy_rules(ctx, chain))
 
     # -- shared mode ------------------------------------------------------------------
     def add_path_script(self, ctx: PluginContext) -> list[str]:

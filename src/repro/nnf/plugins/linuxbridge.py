@@ -1,10 +1,10 @@
 """linuxbridge plugin — the paper's "virtual switch" NNF example.
 
-Sharable as an L2 component: the shared instance is one vlan-filtering
-bridge; each service graph's traffic stays tagged with the graph's VLAN
-across the bridge, so FDB learning and forwarding are isolated per
-graph (per-VLAN FDB = the "multiple internal paths").  A graph's VLAN
-id is the same on every port, so the inherited add-path script is empty.
+Dedicated only: each service graph gets its own bridge in its own
+namespace (``multi_instance``).  A bridge cannot share the adaptation
+layer's one trunk port: it would have to send each frame back out the
+port it came in on, with the same tag, so it would do no switching,
+and steering already does each graph's L2 forwarding.
 """
 
 from __future__ import annotations
@@ -17,20 +17,23 @@ __all__ = ["LinuxBridgePlugin"]
 class LinuxBridgePlugin(NnfPlugin):
     name = "linuxbridge"
     functional_type = "bridge"
-    sharable = True
+    sharable = False
     multi_instance = True
     single_interface = False
     package = "bridge-utils"
+
+    def _brctl(self, ctx: PluginContext) -> str:
+        return f"ip netns exec {ctx.netns} brctl"
 
     def _bridge_name(self, ctx: PluginContext) -> str:
         return f"br-{ctx.instance_id}"
 
     def create_script(self, ctx: PluginContext) -> list[str]:
-        return [f"brctl addbr {self._bridge_name(ctx)}"]
+        return [f"{self._brctl(ctx)} addbr {self._bridge_name(ctx)}"]
 
     def configure_script(self, ctx: PluginContext) -> list[str]:
         bridge = self._bridge_name(ctx)
-        return [f"brctl addif {bridge} {device}"
+        return [f"{self._brctl(ctx)} addif {bridge} {device}"
                 for _port, device in sorted(ctx.ports.items())]
 
     def start_script(self, ctx: PluginContext) -> list[str]:
@@ -39,7 +42,7 @@ class LinuxBridgePlugin(NnfPlugin):
 
     def destroy_script(self, ctx: PluginContext) -> list[str]:
         bridge = self._bridge_name(ctx)
-        commands = [f"brctl delif {bridge} {device}"
+        commands = [f"{self._brctl(ctx)} delif {bridge} {device}"
                     for _port, device in sorted(ctx.ports.items())]
-        commands.append(f"brctl delbr {bridge}")
+        commands.append(f"{self._brctl(ctx)} delbr {bridge}")
         return commands

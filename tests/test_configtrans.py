@@ -1,23 +1,9 @@
-"""Config-translation layer tests (the paper's future-work feature)."""
+"""``parse_port_list``: the firewall plugin's ``proto:port`` lists."""
 
 import pytest
 
-from repro.nnf.configtrans import (
-    GENERIC_KEYS,
-    TranslationError,
-    address_commands,
-    parse_port_list,
-    register_translator,
-    translate,
-    validate_generic,
-)
-from repro.nnf.plugin import PluginContext
-
-
-def ctx(config=None, ports=None):
-    return PluginContext(instance_id="i", netns="ns",
-                         ports=ports or {"lan": "eth0", "wan": "eth1"},
-                         config=config or {})
+from repro.nnf.plugin import PluginError as TranslationError
+from repro.nnf.plugins.iptables_firewall import parse_port_list
 
 
 class TestPortList:
@@ -35,56 +21,3 @@ class TestPortList:
     def test_bad_port_rejected(self):
         with pytest.raises(TranslationError):
             parse_port_list("tcp:abc")
-
-
-class TestValidateGeneric:
-    def test_known_keys_pass(self):
-        assert validate_generic({"lan.address": "10.0.0.1/24",
-                                 "ipsec.psk": "x"}) == []
-
-    def test_unknown_keys_reported(self):
-        unknown = validate_generic({"lan.address": "10.0.0.1/24",
-                                    "frobnicate": "1", "a.b": "2"})
-        assert unknown == ["a.b", "frobnicate"]
-
-    def test_vocabulary_is_closed(self):
-        assert "lan.address" in GENERIC_KEYS
-        assert "dns.static" in GENERIC_KEYS
-
-
-class TestAddressCommands:
-    def test_addresses_and_gateway(self):
-        commands = address_commands(ctx({
-            "lan.address": "192.168.1.1/24",
-            "wan.address": "203.0.113.2/24",
-            "gateway": "203.0.113.1"}))
-        assert len(commands) == 3
-        assert any("192.168.1.1/24 dev eth0" in c for c in commands)
-        assert any("default via 203.0.113.1 dev eth1" in c
-                   for c in commands)
-
-    def test_address_for_missing_port_rejected(self):
-        with pytest.raises(TranslationError, match="no 'wan' port"):
-            address_commands(ctx({"wan.address": "1.2.3.4/24"},
-                                 ports={"lan": "eth0"}))
-
-    def test_gateway_falls_back_to_first_port(self):
-        commands = address_commands(ctx({"gateway": "10.0.0.1"},
-                                        ports={"only": "eth0"}))
-        assert commands == ["ip netns exec ns ip route add default "
-                            "via 10.0.0.1 dev eth0"]
-
-
-class TestTranslatorRegistry:
-    def test_default_translation_is_address_subset(self):
-        commands = translate("unknown-type",
-                             ctx({"lan.address": "10.0.0.1/24"}))
-        assert commands == address_commands(
-            ctx({"lan.address": "10.0.0.1/24"}))
-
-    def test_registered_translator_wins(self):
-        def custom(context):
-            return [f"echo custom for {context.instance_id}"]
-
-        register_translator("weird-nf", custom)
-        assert translate("weird-nf", ctx()) == ["echo custom for i"]

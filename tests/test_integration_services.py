@@ -135,6 +135,33 @@ class TestBridgeNnf:
             REMOTE, CLIENT, "10.0.0.2", "10.0.0.1", 2, 1, b"<-"))
         assert len(out_b) == 1 and len(out_a) == 1
 
+    def test_two_bridge_graphs_each_reach_their_own_wan(self):
+        """Each graph gets its own dedicated bridge; the second one's
+        ``brctl addif`` resolves its ports in its own namespace, not the
+        first graph's same-named ``p0``."""
+        node = ComputeNode("l2")
+        for interface in ("lan1", "lan2", "wan1", "wan2"):
+            node.add_physical_interface(interface)
+        for index in (1, 2):
+            graph = Nffg(graph_id=f"b{index}")
+            graph.add_nf("br", "bridge")
+            graph.add_endpoint("a", f"lan{index}")
+            graph.add_endpoint("b", f"wan{index}")
+            graph.add_flow_rule("r1", "endpoint:a", "vnf:br:p0")
+            graph.add_flow_rule("r2", "vnf:br:p0", "endpoint:a")
+            graph.add_flow_rule("r3", "vnf:br:p1", "endpoint:b")
+            graph.add_flow_rule("r4", "endpoint:b", "vnf:br:p1")
+            record = node.deploy(graph)
+            assert not record.instances["br"].shared
+        wans = {index: sniff(node.wire(f"wan{index}")) for index in (1, 2)}
+        for index in (1, 2):
+            node.wire(f"lan{index}").transmit(make_udp_frame(
+                CLIENT, REMOTE, "10.0.0.1", "10.0.0.2", 1, 2,
+                f"graph {index}".encode()))
+        assert {index: [parse_frame(f).udp.payload for f in frames]
+                for index, frames in wans.items()} \
+            == {1: [b"graph 1"], 2: [b"graph 2"]}
+
 
 class TestLiveUpdate:
     def firewall_graph(self, allow="udp:53"):

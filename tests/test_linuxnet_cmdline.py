@@ -3,7 +3,7 @@
 import pytest
 
 from repro.linuxnet import LinuxHost
-from repro.linuxnet.cmdline import CommandError, ScriptRunner
+from repro.linuxnet.cmdline import CommandError, ScriptRunner, inverse_script
 
 
 @pytest.fixture
@@ -170,3 +170,22 @@ def test_unknown_command_raises(runner):
     with pytest.raises(CommandError):
         runner.run("ip link frobnicate e0")
 
+
+
+@pytest.mark.parametrize("command", [
+    "iptables -A FORWARD -m comment --comment 'two words' -j ACCEPT",
+    'iptables -A FORWARD -m comment --comment "two words" -j ACCEPT',
+    "iptables -A FORWARD -m comment --comment two\\ words -j ACCEPT",
+])
+def test_quoting_is_a_command_error(runner, command):
+    """Words are whitespace-separated; quotes and escapes are refused
+    rather than silently split into different words."""
+    with pytest.raises(CommandError, match="quoting"):
+        runner.run(command)
+    with pytest.raises(CommandError, match="quoting"):
+        inverse_script([command])
+
+
+def test_words_are_split_on_any_whitespace(runner):
+    runner.run("ip  netns\tadd   nnf-1 ")
+    assert "nnf-1" in runner.host.namespaces

@@ -84,11 +84,6 @@ class TestAdaptationLayer:
         assert attachment.port_vids["lan"] != attachment.port_vids["wan"]
         assert attachment.port_devices["lan"].startswith("mux0.")
 
-    def test_shared_vid_mode(self):
-        layer = AdaptationLayer(per_port_vids=False)
-        attachment = layer.attach_graph("g1", ["p0", "p1"])
-        assert attachment.port_vids["p0"] == attachment.port_vids["p1"]
-
     def test_marks_and_vids_distinct_across_graphs(self):
         layer = AdaptationLayer()
         a = layer.attach_graph("g1", ["lan", "wan"])

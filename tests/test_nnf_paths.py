@@ -12,7 +12,9 @@ leave nothing behind.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.catalog.templates import Technology
+from repro.catalog.templates import NfImplementation, Technology
+from repro.compute.drivers.native import NativeDriver
+from repro.compute.instances import InstanceSpec
 from repro.core import ComputeNode
 from repro.linuxnet import LinuxHost
 from repro.linuxnet.cmdline import CommandError, ScriptRunner, inverse_script
@@ -157,6 +159,19 @@ class TestDeleteVerbs:
         runner.run(f"{NS} ip route del 172.16.0.0/12")
         assert list(self.namespace(runner).routes) == []
 
+    def test_route_del_removes_the_route_it_names(self, runner):
+        """Without ``via`` the del prefers the route without a gateway,
+        so it is the inverse of the add that wrote it."""
+        runner.run_script([
+            f"{NS} ip addr add 10.0.0.1/24 dev mux0",
+            f"{NS} ip route add 172.16.0.0/16 via 10.0.0.254",
+            f"{NS} ip route add 172.16.0.0/16 dev mux0",
+        ])
+        runner.run(f"{NS} ip route del 172.16.0.0/16 dev mux0")
+        assert [(r.cidr, r.gateway) for r in self.namespace(runner).routes
+                if r.cidr == "172.16.0.0/16"] \
+            == [("172.16.0.0/16", "10.0.0.254")]
+
     def test_route_del_absent_is_an_error(self, runner):
         runner.run(f"{NS} ip route add 10.0.0.0/24 dev mux0 table 7")
         with pytest.raises(KeyError, match="no route"):
@@ -235,10 +250,7 @@ def path_configs(draw, firewall=False):
 
 
 def shared_component(plugin_name):
-    """A shared instance's namespace, as the NNF driver builds it.
-
-    Every plugin gets per-port VLAN ids here: the bridge's path is
-    empty, so its ids do not matter to the property."""
+    """A shared instance's namespace, as the NNF driver builds it."""
     plugin = stock_registry().get(plugin_name)
     host = LinuxHost()
     runner = ScriptRunner(host)
@@ -263,16 +275,13 @@ def attach(plugin, runner, layer, graph_id, config):
     return ctx, plugin.add_path_script(ctx)
 
 
-def assert_inverse_restores(plugin_name, neighbour, config, update=None):
+def assert_inverse_restores(plugin_name, neighbour, config):
     plugin, runner, layer = shared_component(plugin_name)
     runner.run_script(attach(plugin, runner, layer, "n", neighbour)[1])
     namespace = runner.host.namespace("nnf-s")
     ctx, path = attach(plugin, runner, layer, "g", config)
     before = namespace_dump(namespace)
     runner.run_script(path)
-    if update is not None:
-        ctx.config = update
-        runner.run_script(plugin.update_script(ctx))
     if path:
         assert namespace_dump(namespace) != before
     runner.run_script(inverse_script(path))
@@ -292,21 +301,47 @@ def test_firewall_inverse_restores_namespace(neighbour, config):
     assert_inverse_restores("iptables-firewall", neighbour, config)
 
 
+def spec(plugin_name, graph_id, config, technology=Technology.NATIVE):
+    """What the orchestrator hands a driver for one NF of ``graph_id``."""
+    plugin = stock_registry().get(plugin_name)
+    ports = ("lan",) if plugin_name == "dnsmasq" else ("lan", "wan")
+    return InstanceSpec(
+        instance_id=f"{graph_id}-nf", graph_id=graph_id, nf_id="nf",
+        template_name=plugin.functional_type,
+        functional_type=plugin.functional_type, logical_ports=ports,
+        implementation=NfImplementation(
+            technology=technology, image="img", cpu_cores=0.0, ram_mb=0.0,
+            disk_mb=0.0,
+            plugin=plugin_name if technology is Technology.NATIVE
+            else None),
+        config=dict(config))
+
+
+def running(driver, instance_spec):
+    instance = driver.create(instance_spec)
+    driver.configure(instance)
+    driver.start(instance)
+    return instance
+
+
 @settings(max_examples=60, deadline=None)
 @given(neighbour=path_configs(firewall=True),
        config=path_configs(firewall=True),
        update=path_configs(firewall=True))
 def test_firewall_inverse_restores_after_policy_update(neighbour, config,
                                                        update):
-    """``update_script`` rebuilds ``FW-<mark>``; the inverse's flush of
-    the chain covers the rules it put there."""
-    assert_inverse_restores("iptables-firewall", neighbour, config, update)
-
-
-@settings(max_examples=20, deadline=None)
-@given(neighbour=path_configs(), config=path_configs())
-def test_bridge_inverse_restores_namespace(neighbour, config):
-    assert_inverse_restores("linuxbridge", neighbour, config)
+    """The driver's update rewrites the recorded path, so the detach
+    after it still restores the shared namespace exactly."""
+    driver = NativeDriver(LinuxHost(), stock_registry())
+    running(driver, spec("iptables-firewall", "n", neighbour))
+    namespace = driver.host.namespace("nnf-shared-iptables-firewall")
+    before = namespace_dump(namespace)
+    instance = running(driver, spec("iptables-firewall", "g", config))
+    driver.update(instance, update)
+    assert instance.configured == driver.registry.get(
+        "iptables-firewall").add_path_script(driver._context(instance))
+    driver.destroy(instance)
+    assert namespace_dump(namespace) == before
 
 
 # -- through the NNF driver ----------------------------------------------------------
